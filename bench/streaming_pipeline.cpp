@@ -60,7 +60,6 @@ struct Shape {
 /// pipeline overlap, not socket jitter.
 ServerConfig DeviceModel(bool flows) {
   ServerConfig config;
-  config.schedule_fragments = true;  // both cells run the coalesced plan
   config.store_seek_us = 1'000;
   config.store_us_per_mib = 8'000;
   config.flows = flows;

@@ -106,7 +106,9 @@ Result<std::vector<std::byte>> WireReader::Bytes() {
 Result<std::string> WireReader::String() {
   PVFS_ASSIGN_OR_RETURN(std::vector<std::byte> raw, Bytes());
   std::string s(raw.size(), '\0');
-  std::memcpy(s.data(), raw.data(), raw.size());
+  // An empty vector's data() may be null, and memcpy from null is
+  // undefined even for zero bytes.
+  if (!raw.empty()) std::memcpy(s.data(), raw.data(), raw.size());
   return s;
 }
 

@@ -522,47 +522,43 @@ void Client::RecordReplicaFailure(ServerId global) const {
   }
 }
 
-Result<std::vector<std::byte>> Client::ExchangeWithServer(
-    const OpenFile& file, ServerId relative, const IoRequest& request,
-    bool failover_fast) const {
-  PVFS_SPAN("client.exchange");
+template <typename TryOnce>
+Result<std::vector<std::byte>> Client::RetryLoop(RetryCaller caller,
+                                                 ServerId server,
+                                                 TryOnce try_once) const {
   const RetryPolicy& policy = options_.retry;
+  const bool exchange = caller == RetryCaller::kExchange;
   // Distinct jitter stream per (client, server): mix the client's unique
-  // lock-owner token with the server id.
-  const std::uint64_t stream =
-      lock_owner_ * 0x9E3779B97F4A7C15ull ^ static_cast<std::uint64_t>(relative);
+  // lock-owner token with the server id, salted per replicated direction.
+  std::uint64_t stream =
+      lock_owner_ * 0x9E3779B97F4A7C15ull ^ static_cast<std::uint64_t>(server);
+  if (caller == RetryCaller::kReplicatedRead) stream ^= 0xA5A5A5A5ull;
+  if (caller == RetryCaller::kReplicatedWrite) stream ^= 0x5A5A5A5Aull;
+  const std::uint32_t max_tries =
+      std::max<std::uint32_t>(policy.max_attempts, 1);
   std::chrono::microseconds backoff = policy.initial_backoff;
   // The op-deadline budget runs from the FIRST attempt: a retry loop that
   // restarted its budget per attempt could sleep unboundedly under a
   // flapping server, which is the bug RetryPolicy::op_deadline fixes.
   const bool budgeted = policy.op_deadline.count() > 0;
   const auto deadline = std::chrono::steady_clock::now() + policy.op_deadline;
-  std::uint32_t attempt = 1;
-  while (true) {
-    auto result = ExchangeOnce(file, relative, request);
-    if (result.ok() || !IsRetryable(result.status().code())) {
-      return result;
-    }
-    if (failover_fast && IsFailoverEligible(result.status().code())) {
-      // The replicated caller owns recovery for dead-endpoint errors:
-      // surface immediately (no backoff, no exhausted accounting) so it
-      // can retarget a surviving replica.
-      return result;
-    }
-    if (policy.max_attempts <= 1) {
+  for (std::uint32_t n = 1;; ++n) {
+    Attempt tried = try_once();
+    if (!tried.retry) return std::move(tried.result);
+    const Status& last = tried.result.status();
+    if (n >= max_tries) {
       // Fail-fast still exhausts its (single-attempt) budget: count it, or
-      // the "exchanges that ran out of attempts" counter under-reports
-      // exactly when retries are disabled. The original error is
-      // surfaced unchanged.
+      // the "ran out of attempts" counter under-reports exactly when
+      // retries are disabled. Replicated ops surface their last failover
+      // error, fail-fast exchanges their original one.
       ++retry_exhausted_;
-      return result;
-    }
-    if (attempt >= policy.max_attempts) {
-      ++retry_exhausted_;
-      return DeadlineExceeded(
-          "exchange with server " + std::to_string(relative) + " failed " +
-          std::to_string(attempt) + " attempts; last error: " +
-          result.status().ToString());
+      if (!exchange || policy.max_attempts <= 1) {
+        return std::move(tried.result);
+      }
+      return DeadlineExceeded("exchange with server " +
+                              std::to_string(server) + " failed " +
+                              std::to_string(n) +
+                              " attempts; last error: " + last.ToString());
     }
     std::chrono::microseconds sleep = backoff;
     if (budgeted) {
@@ -571,41 +567,56 @@ Result<std::vector<std::byte>> Client::ExchangeWithServer(
               deadline - std::chrono::steady_clock::now());
       if (remaining <= std::chrono::microseconds::zero()) {
         ++retry_exhausted_;
-        return DeadlineExceeded(
-            "exchange with server " + std::to_string(relative) +
-            ": op_deadline spent after " + std::to_string(attempt) +
-            " attempts; last error: " + result.status().ToString());
+        const std::string what =
+            exchange ? "exchange with server " + std::to_string(server)
+            : caller == RetryCaller::kReplicatedRead ? "replicated read"
+                                                     : "replicated write";
+        return DeadlineExceeded(what + ": op_deadline spent after " +
+                                std::to_string(n) +
+                                (exchange ? " attempts" : " rounds") +
+                                "; last error: " + last.ToString());
       }
       // Clamp the final sleep to the remaining budget so the loop wakes
       // with time for exactly one more attempt instead of oversleeping
       // past the deadline.
       sleep = std::min(sleep, remaining);
     }
-    ++attempt;
     ++retries_;
-    CountRetryCode(result.status().code());
+    CountRetryCode(last.code());
     std::this_thread::sleep_for(sleep);
     backoff_us_ += static_cast<std::uint64_t>(sleep.count());
+    // The exchange draws for the attempt about to run, the replicated
+    // paths for the round that just failed.
     backoff = NextBackoff(backoff, policy.initial_backoff, policy.max_backoff,
-                          fault::kSiteRetryBackoff, stream, attempt);
+                          fault::kSiteRetryBackoff, stream,
+                          exchange ? n + 1 : n);
   }
 }
 
+Result<std::vector<std::byte>> Client::ExchangeWithServer(
+    const OpenFile& file, ServerId relative, const IoRequest& request,
+    bool failover_fast) const {
+  PVFS_SPAN("client.exchange");
+  return RetryLoop(RetryCaller::kExchange, relative, [&]() -> Attempt {
+    auto result = ExchangeOnce(file, relative, request);
+    const bool retry =
+        !result.ok() && IsRetryable(result.status().code()) &&
+        // The replicated caller owns recovery for dead-endpoint errors:
+        // surface them immediately (no backoff, no exhausted accounting)
+        // so it can retarget a surviving replica.
+        !(failover_fast && IsFailoverEligible(result.status().code()));
+    return {std::move(result), retry};
+  });
+}
+
 Result<std::vector<std::byte>> Client::ReadReplicated(
-    const OpenFile& file, ServerId primary, const IoRequest& request) const {
+    const OpenFile& file, ServerId primary, IoRequest request) const {
   PVFS_SPAN("client.read_replicated");
   const Distribution dist(file.meta.layout());
   const std::uint32_t replicas = dist.EffectiveReplicas();
-  const RetryPolicy& policy = options_.retry;
-  const std::uint32_t max_rounds = std::max<std::uint32_t>(policy.max_attempts, 1);
-  const std::uint64_t stream = lock_owner_ * 0x9E3779B97F4A7C15ull ^
-                               static_cast<std::uint64_t>(primary) ^
-                               0xA5A5A5A5ull;
-  std::chrono::microseconds backoff = policy.initial_backoff;
-  const bool budgeted = policy.op_deadline.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() + policy.op_deadline;
+  const FileHandle base = request.handle;
   Status last = Unavailable("no replica reachable");
-  for (std::uint32_t round = 1;; ++round) {
+  return RetryLoop(RetryCaller::kReplicatedRead, primary, [&]() -> Attempt {
     // Pass 0 honours ejections; pass 1 runs only if every candidate was
     // benched, so a fully-ejected replica set still gets probed instead of
     // sleeping the round away.
@@ -616,61 +627,33 @@ Result<std::vector<std::byte>> Client::ReadReplicated(
         const ServerId global = GlobalOf(file, route);
         if (pass == 0 && SkipReplica(global)) continue;
         attempted = true;
-        IoRequest leg = request;
-        leg.handle = ReplicaHandle(request.handle, k);
-        auto body = ExchangeWithServer(file, route, leg, /*failover_fast=*/true);
+        request.handle = ReplicaHandle(base, k);
+        auto body =
+            ExchangeWithServer(file, route, request, /*failover_fast=*/true);
         if (body.ok()) {
           RecordReplicaSuccess(global);
           if (k > 0) ++retargets_;  // served degraded, off the primary
-          return body;
+          return {std::move(body), false};
         }
-        if (!IsFailoverEligible(body.status().code())) return body;
+        if (!IsFailoverEligible(body.status().code())) {
+          return {std::move(body), false};
+        }
         RecordReplicaFailure(global);
         last = body.status();
       }
     }
-    if (round >= max_rounds) {
-      ++retry_exhausted_;
-      return last;
-    }
-    std::chrono::microseconds sleep = backoff;
-    if (budgeted) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              deadline - std::chrono::steady_clock::now());
-      if (remaining <= std::chrono::microseconds::zero()) {
-        ++retry_exhausted_;
-        return DeadlineExceeded(
-            "replicated read: op_deadline spent after " +
-            std::to_string(round) + " rounds; last error: " +
-            last.ToString());
-      }
-      sleep = std::min(sleep, remaining);
-    }
-    ++retries_;
-    CountRetryCode(last.code());
-    std::this_thread::sleep_for(sleep);
-    backoff_us_ += static_cast<std::uint64_t>(sleep.count());
-    backoff = NextBackoff(backoff, policy.initial_backoff, policy.max_backoff,
-                          fault::kSiteRetryBackoff, stream, round);
-  }
+    return {last, true};
+  });
 }
 
 Status Client::WriteReplicated(const OpenFile& file, ServerId primary,
-                               const IoRequest& request) const {
+                               IoRequest request) const {
   PVFS_SPAN("client.write_replicated");
   const Distribution dist(file.meta.layout());
   const std::uint32_t replicas = dist.EffectiveReplicas();
-  const RetryPolicy& policy = options_.retry;
-  const std::uint32_t max_rounds = std::max<std::uint32_t>(policy.max_attempts, 1);
-  const std::uint64_t stream = lock_owner_ * 0x9E3779B97F4A7C15ull ^
-                               static_cast<std::uint64_t>(primary) ^
-                               0x5A5A5A5Aull;
-  std::chrono::microseconds backoff = policy.initial_backoff;
-  const bool budgeted = policy.op_deadline.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() + policy.op_deadline;
+  const FileHandle base = request.handle;
   Status last = Unavailable("no replica reachable");
-  for (std::uint32_t round = 1;; ++round) {
+  return RetryLoop(RetryCaller::kReplicatedWrite, primary, [&]() -> Attempt {
     std::uint32_t acks = 0;
     bool attempted = false;
     for (int pass = 0; pass < 2 && !attempted; ++pass) {
@@ -679,15 +662,17 @@ Status Client::WriteReplicated(const OpenFile& file, ServerId primary,
         const ServerId global = GlobalOf(file, route);
         if (pass == 0 && SkipReplica(global)) continue;
         attempted = true;
-        IoRequest leg = request;
-        leg.handle = ReplicaHandle(request.handle, k);
-        auto body = ExchangeWithServer(file, route, leg, /*failover_fast=*/true);
+        request.handle = ReplicaHandle(base, k);
+        auto body =
+            ExchangeWithServer(file, route, request, /*failover_fast=*/true);
         if (body.ok()) {
           RecordReplicaSuccess(global);
           ++acks;
           continue;
         }
-        if (!IsFailoverEligible(body.status().code())) return body.status();
+        if (!IsFailoverEligible(body.status().code())) {
+          return {body.status(), false};
+        }
         RecordReplicaFailure(global);
         last = body.status();
       }
@@ -696,33 +681,10 @@ Status Client::WriteReplicated(const OpenFile& file, ServerId primary,
       // Degraded ack: the op succeeds; every copy it proceeded without is
       // a retarget, restored later by re-replication (docs/replication.md).
       retargets_ += replicas - acks;
-      return Status::Ok();
+      return {std::vector<std::byte>{}, false};
     }
-    if (round >= max_rounds) {
-      ++retry_exhausted_;
-      return last;
-    }
-    std::chrono::microseconds sleep = backoff;
-    if (budgeted) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              deadline - std::chrono::steady_clock::now());
-      if (remaining <= std::chrono::microseconds::zero()) {
-        ++retry_exhausted_;
-        return DeadlineExceeded(
-            "replicated write: op_deadline spent after " +
-            std::to_string(round) + " rounds; last error: " +
-            last.ToString());
-      }
-      sleep = std::min(sleep, remaining);
-    }
-    ++retries_;
-    CountRetryCode(last.code());
-    std::this_thread::sleep_for(sleep);
-    backoff_us_ += static_cast<std::uint64_t>(sleep.count());
-    backoff = NextBackoff(backoff, policy.initial_backoff, policy.max_backoff,
-                          fault::kSiteRetryBackoff, stream, round);
-  }
+    return {last, true};
+  }).status();
 }
 
 namespace {
@@ -803,7 +765,7 @@ Status Client::WriteChunk(OpenFile& file, std::span<const Extent> chunk,
           // primary: a secondary serves the same fragment set (selected by
           // server_index, not its own id) under a derived handle, giving
           // each copy the primary's exact local layout.
-          return WriteReplicated(file, payloads[i].first, req);
+          return WriteReplicated(file, payloads[i].first, std::move(req));
         }
         auto body = ExchangeWithServer(file, payloads[i].first, req);
         return body.status();
@@ -841,7 +803,7 @@ Status Client::ReadChunk(OpenFile& file, std::span<const Extent> chunk,
         req.op = IoOp::kRead;
         req.regions.assign(chunk.begin(), chunk.end());
         auto body = replicas > 1
-                        ? ReadReplicated(file, involved[i], req)
+                        ? ReadReplicated(file, involved[i], std::move(req))
                         : ExchangeWithServer(file, involved[i], req);
         if (!body.ok()) return body.status();
         auto io = IoResponse::Decode(*body);

@@ -440,6 +440,27 @@ class Client {
                                       std::span<const Extent> file_regions)
       const;
 
+  /// The callers of RetryLoop. Each fixes its jitter stream salt, its
+  /// draw sequence and its exhaustion result.
+  enum class RetryCaller { kExchange, kReplicatedRead, kReplicatedWrite };
+
+  /// One try of a retried operation: its result, and whether that result
+  /// is a failure to back off from and try again.
+  struct Attempt {
+    Result<std::vector<std::byte>> result;
+    bool retry = false;
+  };
+
+  /// The one backoff / op-deadline / exhaustion loop (Options::retry)
+  /// shared by ExchangeWithServer, ReadReplicated and WriteReplicated.
+  /// Calls `try_once()` until it returns a final result, the attempt cap
+  /// is reached or the op-deadline is spent; counts retries, exhaustion
+  /// and backoff time. Defined in client.cpp, its only user.
+  template <typename TryOnce>
+  Result<std::vector<std::byte>> RetryLoop(RetryCaller caller,
+                                           ServerId server,
+                                           TryOnce try_once) const;
+
   /// One per-server exchange of a chunk: encode, call, decode envelope,
   /// retrying per Options::retry. Thread-safe (only atomic retry counters
   /// are touched). With `failover_fast`, a kUnavailable/kDeadlineExceeded
@@ -452,17 +473,20 @@ class Client {
 
   /// Replicated read: try replica ordinals in placement order, skipping
   /// ejected endpoints, failing over on kUnavailable/kDeadlineExceeded;
-  /// whole-round failures retry with backoff per Options::retry.
+  /// whole-round failures retry with backoff per Options::retry. Legs
+  /// differ only in handle, so the one owned `request` is re-addressed
+  /// per leg instead of copied.
   Result<std::vector<std::byte>> ReadReplicated(const OpenFile& file,
                                                 ServerId primary,
-                                                const IoRequest& request) const;
+                                                IoRequest request) const;
 
   /// Replicated write fan-out: one leg per replica ordinal (the payload
   /// addresses the primary's fragment set on every leg — replicas are
-  /// whole copies under derived handles). Succeeds once any replica acks;
+  /// whole copies under derived handles, and every leg sends the one
+  /// owned `request` re-addressed). Succeeds once any replica acks;
   /// unacked replicas count as retargets and rely on re-replication.
   Status WriteReplicated(const OpenFile& file, ServerId primary,
-                         const IoRequest& request) const;
+                         IoRequest request) const;
 
   /// Global server id of a file-relative index, per the striping base.
   ServerId GlobalOf(const OpenFile& file, ServerId relative) const {

@@ -35,13 +35,11 @@ inline constexpr ByteCount kDefaultCachePageBytes = 64 * 1024;
 
 /// Per-I/O-daemon service configuration (docs/server-scheduling.md).
 ///
-/// `schedule_fragments` is the executed-path twin of the simulator's
-/// `SimClusterConfig::server_coalesces_entries` knob: both default to the
-/// 2002 behaviour (one store access per owned trailing-data entry, walked
-/// in logical order) and both, when enabled, sort the owned fragments by
-/// local offset and merge adjacent/overlapping ones into single accesses —
-/// the paper's §5 "more intelligent scheduling of the data movement at the
-/// server".
+/// Every daemon sorts the fragments a request assigns it by local offset
+/// and merges adjacent/overlapping ones into single store accesses, the
+/// paper's §5 "more intelligent scheduling of the data movement at the
+/// server". The simulator models the 2002 one-access-per-entry behaviour
+/// on its own (`SimClusterConfig::server_coalesces_entries`).
 ///
 /// `max_queue_depth` bounds the daemon's admission queue on the threaded
 /// and TCP transports: a request arriving while `max_queue_depth` requests
@@ -50,7 +48,6 @@ inline constexpr ByteCount kDefaultCachePageBytes = 64 * 1024;
 /// historical unbounded queue.
 struct ServerConfig {
   std::uint32_t max_list_regions = kMaxListRegions;
-  bool schedule_fragments = false;
   std::uint32_t max_queue_depth = 0;
   /// Worker threads draining the TCP event loop's request queue
   /// (net::SocketServer::Options::worker_threads). With `flows` off,
@@ -64,8 +61,8 @@ struct ServerConfig {
   // runs stream through the daemon's AsyncStore in segments of at most
   // `flow_segment_bytes`, at most `flow_inflight` in flight per request,
   // and the TCP transport stops serializing service so in-flight requests
-  // overlap each other's network and device time. Default off — fig09-17
-  // and every 2002-faithful path are bit-identical with flows off.
+  // overlap each other's network and device time. Default off: the
+  // synchronous path journals each request as one intent.
   bool flows = false;
   ByteCount flow_segment_bytes = 256 * 1024;
   std::uint32_t flow_inflight = 4;
@@ -73,10 +70,10 @@ struct ServerConfig {
   /// depth the pipeline can exploit).
   std::uint32_t store_workers = 2;
 
-  // Modeled device time, charged per contiguous store access on BOTH the
-  // synchronous and the flow path (pvfs/store_async.hpp): `store_seek_us`
-  // positioning cost plus `store_us_per_mib` transfer cost. Defaults 0 =
-  // no modeling, preserving historical timing exactly.
+  // Modeled device time (ModelDeviceTime in pvfs/store_async.hpp), charged
+  // per contiguous store access on BOTH the synchronous and the flow path:
+  // `store_seek_us` positioning cost plus `store_us_per_mib` transfer
+  // cost. Defaults 0 = no modeling, preserving historical timing exactly.
   std::uint64_t store_seek_us = 0;
   std::uint64_t store_us_per_mib = 0;
 };

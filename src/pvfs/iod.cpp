@@ -1,9 +1,7 @@
 #include "pvfs/iod.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "common/request_id.hpp"
 #include "obs/span.hpp"
@@ -21,13 +19,6 @@ void RaiseMax(std::atomic<std::uint64_t>& mark, std::uint64_t seen) {
 }
 
 }  // namespace
-
-void IoDaemon::ChargeDeviceTime(std::uint64_t accesses,
-                                ByteCount bytes) const {
-  const std::uint64_t us = config_.store_seek_us * accesses +
-                           config_.store_us_per_mib * bytes / kMiB;
-  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
 
 void IoDaemon::RecoverStore() {
   // Concurrent callers are safe: NeedsRecovery/Recover lock the store, and
@@ -81,16 +72,13 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
   ByteCount my_bytes = 0;
   for (const Fragment& f : mine) my_bytes += f.length;
 
-  // Plan the coalesced local runs — the disk accesses a scheduling iod
-  // makes. The plan is built on an offset-SORTED view of the fragments, so
-  // `local_accesses` matches the paper's coalesced-disk-access model even
-  // for cyclic patterns whose logical walk revisits lower local offsets
-  // (counting in logical order over-counted those). With
-  // `schedule_fragments` off the daemon still executes one store access
-  // per fragment, 2002-style; the plan is then accounting only.
+  // Plan the coalesced local runs: the fragments sorted by local offset
+  // and merged where they touch, one store access per run (the paper's
+  // §5 "more intelligent scheduling of the data movement at the server").
+  // Sorting first keeps cyclic patterns, whose logical walk revisits lower
+  // local offsets, at one access per run.
   const RunPlan plan = BuildRunPlan(mine);
   stats_.local_accesses += plan.runs.size();
-  const bool scheduled = config_.schedule_fragments;
 
   // Transient disk error injection: fail before touching the store so the
   // stripe is never half-written by a request that reported failure.
@@ -102,13 +90,37 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
                        " error on iod " + std::to_string(id_));
   }
 
-  // Flow pipelining (docs/async-flows.md): execute through the run plan in
-  // bounded segments on the shared store-worker pool. The scatter/gather
-  // between scratch and the wire payload is the scheduled path's, so the
-  // wire layout is identical either way.
+  // A write's payload must hold exactly this server's bytes.
+  if (req.op == IoOp::kWrite && req.payload.size() != my_bytes) {
+    return InvalidArgument("write payload size mismatch: expected " +
+                           std::to_string(my_bytes) + ", got " +
+                           std::to_string(req.payload.size()));
+  }
+
+  // The runs are staged in scratch. Bytes move between scratch and the
+  // wire payload fragment by fragment in logical order, so the payload
+  // holds this server's bytes back to back in walk order, and overlapping
+  // write fragments keep last-writer-wins. With flows on, the runs move
+  // through the AsyncStore in bounded segments (docs/async-flows.md).
   const bool flow_path = config_.flows && async_store_ != nullptr;
   const FlowConfig flow_config{config_.flow_segment_bytes,
                                config_.flow_inflight};
+  std::vector<std::byte> scratch(plan.total_bytes);
+  auto for_each_slot = [&](auto copy) {
+    ByteCount wire = 0;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      const ScheduledRun& run = plan.runs[plan.run_of[i]];
+      copy(wire, run.buf_offset + (mine[i].local_offset - run.offset),
+           mine[i].length);
+      wire += mine[i].length;
+    }
+  };
+  auto record_flow = [&](const FlowStats& fstats) {
+    stats_.flow_segments += fstats.segments;
+    RaiseMax(stats_.flow_inflight_peak, fstats.peak_inflight);
+    stats_.flow_stall_us += fstats.stall_us;
+    stats_.store_ops += fstats.segments;
+  };
 
   IoResponse resp;
   if (req.op == IoOp::kRead) {
@@ -118,107 +130,46 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
       fault::RotFault rot = fault_->OnStoredRead(id_);
       if (rot.rot) (void)store_.CorruptStoredBit(rot.selector);
     }
-    resp.payload.resize(my_bytes);
-    if (scheduled || flow_path) {
-      // One store read per merged run (flow: per bounded segment of a
-      // run), then scatter run bytes back into the payload through the
-      // original fragment order so the wire layout is identical to the
-      // unscheduled path.
-      std::vector<std::byte> scratch(plan.total_bytes);
-      if (flow_path) {
-        FlowStats fstats;
-        Status read = FlowRead(*async_store_, req.handle, plan.runs,
-                               scratch, flow_config, fstats);
-        stats_.flow_segments += fstats.segments;
-        RaiseMax(stats_.flow_inflight_peak, fstats.peak_inflight);
-        stats_.flow_stall_us += fstats.stall_us;
-        stats_.store_ops += fstats.segments;
-        if (!read.ok()) {
-          ++stats_.corruptions_detected;
-          return read;
-        }
-      } else {
-        ChargeDeviceTime(plan.runs.size(), plan.total_bytes);
-        for (const ScheduledRun& run : plan.runs) {
-          Status read = store_.Read(
-              req.handle, run.offset,
-              std::span{scratch}.subspan(run.buf_offset, run.length));
-          if (!read.ok()) {
-            ++stats_.corruptions_detected;
-            return read;
-          }
-        }
-        stats_.store_ops += plan.runs.size();
-      }
-      ByteCount cursor = 0;
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        const Fragment& f = mine[i];
-        const ScheduledRun& run = plan.runs[plan.run_of[i]];
-        std::memcpy(resp.payload.data() + cursor,
-                    scratch.data() + run.buf_offset +
-                        (f.local_offset - run.offset),
-                    f.length);
-        cursor += f.length;
-      }
+    Status read = Status::Ok();
+    if (flow_path) {
+      FlowStats fstats;
+      read = FlowRead(*async_store_, req.handle, plan.runs, scratch,
+                      flow_config, fstats);
+      record_flow(fstats);
     } else {
-      ChargeDeviceTime(mine.size(), my_bytes);
-      ByteCount cursor = 0;
-      for (const Fragment& f : mine) {
-        Status read = store_.Read(
-            req.handle, f.local_offset,
-            std::span{resp.payload}.subspan(cursor, f.length));
-        if (!read.ok()) {
-          ++stats_.corruptions_detected;
-          return read;
-        }
-        cursor += f.length;
+      ModelDeviceTime(config_.store_seek_us, config_.store_us_per_mib,
+                      plan.runs.size(), plan.total_bytes);
+      for (const ScheduledRun& run : plan.runs) {
+        read = store_.Read(
+            req.handle, run.offset,
+            std::span{scratch}.subspan(run.buf_offset, run.length));
+        if (!read.ok()) break;
       }
-      stats_.store_ops += mine.size();
+      if (read.ok()) stats_.store_ops += plan.runs.size();
     }
+    if (!read.ok()) {
+      ++stats_.corruptions_detected;
+      return read;
+    }
+    resp.payload.resize(my_bytes);
+    for_each_slot([&](ByteCount wire, ByteCount staged, ByteCount length) {
+      std::memcpy(resp.payload.data() + wire, scratch.data() + staged,
+                  length);
+    });
     resp.bytes = my_bytes;
     stats_.bytes_read += my_bytes;
     return resp;
   }
 
-  // Write: payload must hold exactly this server's bytes.
-  if (req.payload.size() != my_bytes) {
-    return InvalidArgument("write payload size mismatch: expected " +
-                           std::to_string(my_bytes) + ", got " +
-                           std::to_string(req.payload.size()));
-  }
+  // Write: gather the payload into the runs, one piece per run.
+  for_each_slot([&](ByteCount wire, ByteCount staged, ByteCount length) {
+    std::memcpy(scratch.data() + staged, req.payload.data() + wire, length);
+  });
   std::vector<LocalStore::WritePiece> pieces;
-  std::vector<std::byte> scratch;
-  ByteCount intent_bytes = my_bytes;
-  if (scheduled || flow_path) {
-    // Gather payload bytes into per-run scratch in the original fragment
-    // order (so overlapping fragments keep last-writer-wins semantics,
-    // exactly as sequential per-fragment pieces would), then write one
-    // journaled piece per merged run.
-    scratch.resize(plan.total_bytes);
-    ByteCount cursor = 0;
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      const Fragment& f = mine[i];
-      const ScheduledRun& run = plan.runs[plan.run_of[i]];
-      std::memcpy(scratch.data() + run.buf_offset +
-                      (f.local_offset - run.offset),
-                  req.payload.data() + cursor, f.length);
-      cursor += f.length;
-    }
-    pieces.reserve(plan.runs.size());
-    for (const ScheduledRun& run : plan.runs) {
-      pieces.push_back(
-          {run.offset, std::span{scratch}.subspan(run.buf_offset,
-                                                  run.length)});
-    }
-    intent_bytes = plan.total_bytes;
-  } else {
-    pieces.reserve(mine.size());
-    ByteCount cursor = 0;
-    for (const Fragment& f : mine) {
-      pieces.push_back({f.local_offset,
-                        std::span{req.payload}.subspan(cursor, f.length)});
-      cursor += f.length;
-    }
+  pieces.reserve(plan.runs.size());
+  for (const ScheduledRun& run : plan.runs) {
+    pieces.push_back(
+        {run.offset, std::span{scratch}.subspan(run.buf_offset, run.length)});
   }
   // Torn-write injection: the daemon "crashes" partway through applying
   // this intent and refuses calls until its scheduled restart, when
@@ -228,27 +179,24 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
     if (torn.torn) {
       ++stats_.torn_writes;
       store_.WriteVTorn(req.handle, pieces,
-                        intent_bytes * torn.keep_permille / 1000,
+                        plan.total_bytes * torn.keep_permille / 1000,
                         torn.torn_journal);
       return Unavailable("iod " + std::to_string(id_) +
                          " crashed mid-write (injected torn write)");
     }
   }
   if (flow_path) {
-    // Pipeline the runs out of scratch in bounded segments, one journaled
-    // intent per segment (docs/async-flows.md discusses the atomicity
-    // granularity trade).
+    // One journaled intent per segment (docs/async-flows.md discusses the
+    // atomicity granularity trade).
     FlowStats fstats;
     Status wrote = FlowWrite(*async_store_, req.handle, plan.runs, scratch,
                              flow_config, fstats);
-    stats_.flow_segments += fstats.segments;
-    RaiseMax(stats_.flow_inflight_peak, fstats.peak_inflight);
-    stats_.flow_stall_us += fstats.stall_us;
-    stats_.store_ops += fstats.segments;
+    record_flow(fstats);
     if (!wrote.ok()) return wrote;
   } else {
-    // One journaled intent covers every fragment of this request.
-    ChargeDeviceTime(pieces.size(), intent_bytes);
+    // One journaled intent covers every run of this request.
+    ModelDeviceTime(config_.store_seek_us, config_.store_us_per_mib,
+                    pieces.size(), plan.total_bytes);
     store_.WriteV(req.handle, pieces);
     stats_.store_ops += pieces.size();
   }

@@ -40,9 +40,9 @@ class IoDaemon {
                     std::uint32_t max_list_regions = kMaxListRegions)
       : IoDaemon(id, ServerConfig{.max_list_regions = max_list_regions}) {}
 
-  /// Full service configuration, including the fragment scheduler knob
-  /// (docs/server-scheduling.md). Admission control (`max_queue_depth`)
-  /// is enforced by the transport in front of the daemon, not here.
+  /// Full service configuration (docs/server-scheduling.md). Admission
+  /// control (`max_queue_depth`) is enforced by the transport in front of
+  /// the daemon, not here.
   IoDaemon(ServerId id, const ServerConfig& config)
       : id_(id), config_(config) {
     if (config_.flows) {
@@ -61,7 +61,9 @@ class IoDaemon {
   /// transports call this; HandleMessage remains for direct unit tests.
   std::vector<std::byte> HandleSealedMessage(std::span<const std::byte> raw);
 
-  /// Direct-call service path (also used by HandleMessage).
+  /// Direct-call service path (also used by HandleMessage). Executes the
+  /// request's run plan: one store access per merged local run, or one
+  /// per flow segment when ServerConfig::flows is on.
   Result<IoResponse> Serve(const IoRequest& req);
 
   /// Replay-or-rollback any write intents left pending by a crash. Runs
@@ -94,7 +96,7 @@ class IoDaemon {
     std::atomic<std::uint64_t> requests = 0;
     std::atomic<std::uint64_t> regions = 0;  // trailing-data entries received
     std::atomic<std::uint64_t> local_accesses = 0; // coalesced runs (sorted)
-    std::atomic<std::uint64_t> store_ops = 0; // contiguous accesses issued
+    std::atomic<std::uint64_t> store_ops = 0; // runs (or flow segments) issued
     std::atomic<std::uint64_t> bytes_read = 0;
     std::atomic<std::uint64_t> bytes_written = 0;
     std::atomic<std::uint64_t> injected_errors = 0;  // failed by injection
@@ -120,10 +122,6 @@ class IoDaemon {
   void ExportMetrics(obs::Registry& reg, const obs::Labels& base = {}) const;
 
  private:
-  /// Charge the modeled device interval for `accesses` contiguous store
-  /// accesses moving `bytes` in total (no-op at the default zero knobs).
-  void ChargeDeviceTime(std::uint64_t accesses, ByteCount bytes) const;
-
   ServerId id_;
   ServerConfig config_;
   LocalStore store_;

@@ -7,12 +7,11 @@
 // overlapping ones into *runs*; the daemon then issues one store
 // read/write per run and scatters/gathers bytes between the run buffers
 // and the request payload through the ORIGINAL fragment order, so the
-// payload layout on the wire is exactly what an unscheduled daemon
-// produces. The run count is also the paper's coalesced-disk-access
-// accounting unit (`local_accesses` in iod stats), whether or not the
-// scheduler actually executes — counting on the sorted view is what keeps
-// cyclic patterns, whose logical walk revisits lower local offsets, from
-// over-counting.
+// payload on the wire holds the server's bytes in logical-walk order. The
+// run count is also the paper's coalesced-disk-access accounting unit
+// (`local_accesses` in iod stats) — counting on the sorted view is what
+// keeps cyclic patterns, whose logical walk revisits lower local offsets,
+// from over-counting.
 #pragma once
 
 #include <cstdint>

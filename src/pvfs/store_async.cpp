@@ -5,6 +5,12 @@
 
 namespace pvfs {
 
+void ModelDeviceTime(std::uint64_t seek_us, std::uint64_t us_per_mib,
+                     std::uint64_t accesses, ByteCount bytes) {
+  const std::uint64_t us = seek_us * accesses + us_per_mib * bytes / kMiB;
+  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+}
+
 // ---- CompletionQueue -------------------------------------------------------
 
 void AsyncStore::CompletionQueue::Push(Completion done) {
@@ -57,12 +63,6 @@ AsyncStore::~AsyncStore() {
   }
   submit_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
-}
-
-void AsyncStore::ModelDeviceTime(const Options& options, ByteCount bytes) {
-  const std::uint64_t us =
-      options.seek_us + options.us_per_mib * bytes / kMiB;
-  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
 void AsyncStore::SubmitRead(CompletionQueue& cq, Token token,
@@ -123,11 +123,11 @@ void AsyncStore::WorkerLoop() {
       }
       // Device interval first (outside the store mutex, so intervals on
       // different workers overlap), then the journaled apply.
-      ModelDeviceTime(options_, done.bytes);
+      ModelDeviceTime(options_.seek_us, options_.us_per_mib, 1, done.bytes);
       store_.WriteV(op.handle, op.pieces);
     } else {
       done.bytes = op.out.size();
-      ModelDeviceTime(options_, done.bytes);
+      ModelDeviceTime(options_.seek_us, options_.us_per_mib, 1, done.bytes);
       done.status = store_.Read(op.handle, op.offset, op.out);
     }
     op.cq->Push(std::move(done));

@@ -19,7 +19,7 @@
 // genuine overlap: with N workers, N device intervals proceed
 // concurrently — the flow pipeline's win — while the synchronous serve
 // path pays them strictly in series (IoDaemon applies the same knobs
-// there).
+// there, through the same ModelDeviceTime).
 //
 // Lifetime contract: the buffers behind a submitted operation (the read
 // target span, the write pieces' data spans) and its CompletionQueue
@@ -45,6 +45,14 @@
 #include "pvfs/store.hpp"
 
 namespace pvfs {
+
+/// Sleep the modeled device interval of `accesses` contiguous store
+/// accesses moving `bytes` in total: `seek_us` per access plus
+/// `us_per_mib` per MiB moved. A no-op when both are zero. Each AsyncStore
+/// operation charges one access; the synchronous serve path charges all of
+/// a request's runs in one sleep.
+void ModelDeviceTime(std::uint64_t seek_us, std::uint64_t us_per_mib,
+                     std::uint64_t accesses, ByteCount bytes);
 
 class AsyncStore {
  public:
@@ -107,11 +115,6 @@ class AsyncStore {
                    std::vector<LocalStore::WritePiece> pieces);
 
   const Options& options() const { return options_; }
-
-  /// Sleep the modeled device interval for one access of `bytes` bytes
-  /// (no-op when both knobs are zero). Exposed so the synchronous serve
-  /// path can charge the identical cost per store access.
-  static void ModelDeviceTime(const Options& options, ByteCount bytes);
 
  private:
   struct Op {

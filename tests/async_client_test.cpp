@@ -41,7 +41,6 @@ ByteBuffer Pattern(std::size_t n, std::uint64_t seed) {
 /// requests exercise multi-segment pipelines.
 ServerConfig FlowsConfig() {
   ServerConfig config;
-  config.schedule_fragments = true;
   config.flows = true;
   config.flow_segment_bytes = 4096;
   config.flow_inflight = 4;

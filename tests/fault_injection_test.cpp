@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "common/bytes.hpp"
@@ -371,6 +372,88 @@ TEST(FaultDeterminism, ZeroConfigInjectsNothing) {
   }
   EXPECT_EQ(injector.counters().total(), 0u);
   EXPECT_TRUE(injector.events().empty());
+}
+
+// ---- Retry schedule ------------------------------------------------------
+
+/// A client whose lock owner, and with it every jitter stream it draws
+/// from, is exactly `owner` (which the process must not have handed out
+/// yet). Owners come from a process-wide counter, so clients are
+/// constructed and dropped until the counter reaches it.
+std::unique_ptr<Client> ClientWithOwner(Transport* transport,
+                                        const Client::Options& options,
+                                        std::uint64_t owner) {
+  for (;;) {
+    auto client = std::make_unique<Client>(transport, options);
+    if (client->lock_owner() == owner) return client;
+  }
+}
+
+// Every caller of the retry loop draws its backoff schedule from a pure
+// hash of (jitter_seed, lock owner, server, sequence): the exchange
+// draws per attempt from owner·φ ^ server, the replicated read and write
+// per round from that stream salted with 0xA5A5A5A5 / 0x5A5A5A5A. The
+// totals below pin those schedules for fixed owners and a fixed seed,
+// together with each caller's exhaustion result.
+TEST(RetrySchedule, BackoffTotalsArePinnedPerCaller) {
+  constexpr std::uint64_t kOwner = 20'000;  // above any earlier test's
+  testutil::InProcCluster cluster(4);
+  if (Client(cluster.transport.get()).lock_owner() >= kOwner) {
+    GTEST_SKIP() << "lock owner " << kOwner
+                 << " already handed out in this process";
+  }
+  const Striping striping{0, 4, 16384};
+  ByteBuffer data(16384);  // one stripe unit: server 0 (and replica 1)
+  FillPattern(data, 5, 0);
+  {
+    Client writer = cluster.MakeClient();
+    auto plain = writer.Create("plain", striping);
+    auto mirrored = writer.Create("mirrored", striping, ReplicationConfig{2});
+    ASSERT_TRUE(plain.ok() && mirrored.ok());
+    ASSERT_TRUE(writer.Write(*mirrored, 0, data).ok());
+  }
+  fault::FaultInjector injector(fault::FaultConfig{});
+  fault::FaultInjectingTransport chaos(cluster.transport.get(), &injector);
+  injector.CrashServer(0, 1'000'000);
+  injector.CrashServer(1, 1'000'000);
+  Client::Options options;
+  options.retry.max_attempts = 4;
+  options.retry.initial_backoff = microseconds{100};
+  options.retry.max_backoff = microseconds{10'000};
+  options.retry.jitter_seed = 7;
+
+  struct Outcome {
+    Status status;
+    Client::RetryCounters counters;
+  };
+  auto run = [&](std::uint64_t owner, const std::string& name, bool write) {
+    std::unique_ptr<Client> client = ClientWithOwner(&chaos, options, owner);
+    auto fd = client->Open(name);
+    EXPECT_TRUE(fd.ok());
+    ByteBuffer out(data.size());
+    Status status = write ? client->Write(*fd, 0, data)
+                          : client->Read(*fd, 0, out);
+    return Outcome{status, client->retry_counters()};
+  };
+
+  const Outcome exchange = run(kOwner, "plain", true);
+  const Outcome read = run(kOwner + 1, "mirrored", false);
+  const Outcome write = run(kOwner + 2, "mirrored", true);
+  EXPECT_EQ(exchange.status.code(), ErrorCode::kDeadlineExceeded);
+  EXPECT_NE(exchange.status.message().find("failed 4 attempts"),
+            std::string::npos)
+      << exchange.status.message();
+  // The replicated paths surface the last failover error as is.
+  EXPECT_EQ(read.status.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(write.status.code(), ErrorCode::kUnavailable);
+  for (const Outcome* outcome : {&exchange, &read, &write}) {
+    EXPECT_EQ(outcome->counters.retries, 3u);
+    EXPECT_EQ(outcome->counters.exhausted, 1u);
+    EXPECT_EQ(outcome->counters.retries_unavailable, 3u);
+  }
+  EXPECT_EQ(exchange.counters.backoff_us, 596u);
+  EXPECT_EQ(read.counters.backoff_us, 807u);
+  EXPECT_EQ(write.counters.backoff_us, 409u);
 }
 
 // ---- Socket transport: real crash-and-restart ---------------------------

@@ -3,7 +3,8 @@
 //
 //   * BuildRunPlan: sorted-merge run construction, scatter/gather maps.
 //   * IoDaemon: `local_accesses` counts offset-sorted runs (the cyclic
-//     over-count regression), scheduled execution moves identical bytes.
+//     over-count regression), one store op per run, and served bytes match
+//     a per-fragment oracle.
 //   * Sim/executed agreement: Distribution::ServerLocalRuns and the iod
 //     plan count the same runs.
 //   * Client determinism: WriteChunk fans out in ascending server order;
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <barrier>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -124,7 +126,7 @@ TEST(RunPlan, RandomFragmentsCoverEveryByteOfEveryFragment) {
   }
 }
 
-// ---- IoDaemon accounting and scheduled execution ---------------------------
+// ---- IoDaemon accounting and run-plan execution ----------------------------
 
 // Cyclic pattern whose logical walk revisits lower local offsets on each
 // server: striping {pcount 2, ssize 4}, regions hitting stripes 0,2,1,3
@@ -151,13 +153,13 @@ TEST(IoDaemonScheduling, LocalAccessesCountOffsetSortedRuns) {
   req.payload.resize(8);
   ASSERT_TRUE(iod.Serve(req).ok());
   EXPECT_EQ(iod.stats().local_accesses, 1u);
-  // The unscheduled daemon still EXECUTES one store op per fragment.
-  EXPECT_EQ(iod.stats().store_ops, 4u);
+  // The daemon executes the plan: one store op per run, not per fragment.
+  EXPECT_EQ(iod.stats().store_ops, iod.stats().local_accesses);
 
   auto read = iod.Serve(CyclicRequest(IoOp::kRead));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(iod.stats().local_accesses, 2u);
-  EXPECT_EQ(iod.stats().store_ops, 8u);
+  EXPECT_EQ(iod.stats().store_ops, iod.stats().local_accesses);
 }
 
 TEST(IoDaemonScheduling, SimRunsAgreeWithExecutedAccounting) {
@@ -174,9 +176,7 @@ TEST(IoDaemonScheduling, SimRunsAgreeWithExecutedAccounting) {
 }
 
 TEST(IoDaemonScheduling, ScheduledDaemonIssuesOneStoreOpPerRun) {
-  ServerConfig config;
-  config.schedule_fragments = true;
-  IoDaemon iod(0, config);
+  IoDaemon iod(0);
   IoRequest req = CyclicRequest(IoOp::kWrite);
   req.payload.resize(8);
   FillPattern(req.payload, 3, 0);
@@ -187,96 +187,133 @@ TEST(IoDaemonScheduling, ScheduledDaemonIssuesOneStoreOpPerRun) {
   auto read = iod.Serve(CyclicRequest(IoOp::kRead));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(iod.stats().store_ops, 2u);
+  // The one merged run scatters back into logical-walk order.
+  EXPECT_EQ(read->payload, req.payload);
 }
 
-TEST(IoDaemonScheduling, ScheduledAndUnscheduledMoveIdenticalBytes) {
-  // Random list requests against a scheduled and an unscheduled daemon:
-  // write payloads and read-back payloads must be byte-identical — the
-  // scatter/gather must keep the wire layout of the unscheduled path.
+TEST(IoDaemonScheduling, ServedBytesMatchFragmentOracle) {
+  // Random list requests against one daemon, checked against an in-test
+  // oracle: a flat image of each handle's local file, filled fragment by
+  // fragment in logical order from Distribution::ForEachFragment. Write
+  // payloads land where the per-fragment walk puts them (last writer wins
+  // on overlap), and read payloads hold the fragments back to back in
+  // walk order — whatever runs the plan merged them into.
   SplitMix64 rng(7);
-  ServerConfig scheduled_config;
-  scheduled_config.schedule_fragments = true;
-  IoDaemon plain(0);
-  IoDaemon scheduled(0, scheduled_config);
+  IoDaemon iod(0);
+  std::map<FileHandle, ByteBuffer> images;
+  std::uint64_t fragments = 0;
+
+  auto random_regions = [&] {
+    ExtentList regions;
+    std::uint64_t n = rng.Uniform(1, 10);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      regions.push_back(Extent{rng.Uniform(0, 512), rng.Uniform(1, 64)});
+    }
+    return regions;
+  };
+  // Server 0's fragments of `regions`, in logical order.
+  auto mine = [](const Distribution& dist, const ExtentList& regions) {
+    std::vector<Fragment> out;
+    ByteCount stream = 0;
+    for (const Extent& e : regions) {
+      dist.ForEachFragment(e, stream, [&](const Fragment& f) {
+        if (f.server == 0) out.push_back(f);
+      });
+      stream += e.length;
+    }
+    return out;
+  };
 
   for (int iter = 0; iter < 100; ++iter) {
     Striping striping{0, static_cast<std::uint32_t>(rng.Uniform(1, 4)),
                       1u << rng.Uniform(2, 6)};
     Distribution dist(striping);
-    ExtentList regions;
-    std::uint64_t n = rng.Uniform(1, 10);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      regions.push_back(
-          Extent{rng.Uniform(0, 512), rng.Uniform(1, 64)});
-    }
-    ByteCount mine = dist.BytesOnServer(0, regions);
-    if (mine == 0) continue;
+    const FileHandle handle = 10 + iter % 4;  // state builds up per handle
+    ByteBuffer& image = images[handle];
 
     IoRequest write;
-    write.handle = 10 + iter;
+    write.handle = handle;
     write.striping = striping;
     write.server_index = 0;
     write.op = IoOp::kWrite;
-    write.regions = regions;
-    write.payload.resize(mine);
+    write.regions = random_regions();
+    const std::vector<Fragment> written = mine(dist, write.regions);
+    if (written.empty()) continue;
+    fragments += written.size();
+    ByteCount payload_bytes = 0;
+    for (const Fragment& f : written) payload_bytes += f.length;
+    write.payload.resize(payload_bytes);
     FillPattern(write.payload, 1000 + iter, 0);
+    ASSERT_TRUE(iod.Serve(write).ok());
+    ByteCount cursor = 0;
+    for (const Fragment& f : written) {
+      if (image.size() < f.local_offset + f.length) {
+        image.resize(f.local_offset + f.length, std::byte{0});
+      }
+      std::copy_n(write.payload.begin() + static_cast<std::ptrdiff_t>(cursor),
+                  f.length,
+                  image.begin() + static_cast<std::ptrdiff_t>(f.local_offset));
+      cursor += f.length;
+    }
 
-    ASSERT_TRUE(plain.Serve(write).ok());
-    ASSERT_TRUE(scheduled.Serve(write).ok());
-
-    IoRequest read = write;
-    read.op = IoOp::kRead;
-    read.payload.clear();
-    auto a = plain.Serve(read);
-    auto b = scheduled.Serve(read);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->payload, b->payload) << "iter " << iter;
+    // Read back the written regions, then a fresh random list that may
+    // touch bytes never written (holes read as zeros).
+    for (const ExtentList& regions : {write.regions, random_regions()}) {
+      IoRequest read = write;
+      read.op = IoOp::kRead;
+      read.payload.clear();
+      read.regions = regions;
+      ByteBuffer expected;
+      for (const Fragment& f : mine(dist, regions)) {
+        ++fragments;
+        for (ByteCount b = 0; b < f.length; ++b) {
+          const ByteCount at = f.local_offset + b;
+          expected.push_back(at < image.size() ? image[at] : std::byte{0});
+        }
+      }
+      auto served = iod.Serve(read);
+      ASSERT_TRUE(served.ok());
+      EXPECT_EQ(served->payload, expected) << "iter " << iter;
+    }
   }
-  // The scheduler never issues MORE store accesses than per-fragment
-  // execution, and the accounting metric is identical on both daemons.
-  EXPECT_EQ(plain.stats().local_accesses, scheduled.stats().local_accesses);
-  EXPECT_LE(scheduled.stats().store_ops, plain.stats().store_ops);
+  // The daemon issues one store access per run: never more than one per
+  // fragment, and exactly the accounted run count.
+  EXPECT_EQ(iod.stats().store_ops, iod.stats().local_accesses);
+  EXPECT_LE(iod.stats().store_ops, fragments);
 }
 
-TEST(IoDaemonScheduling, EndToEndListIoMatchesAcrossSchedulingModes) {
-  // Full client -> cluster round trips, cyclic pattern: a scheduled
-  // cluster must return byte-identical data to an unscheduled one.
-  ServerConfig scheduled_config;
-  scheduled_config.schedule_fragments = true;
-  InProcCluster plain(4);
-  InProcCluster scheduled(4, scheduled_config);
+TEST(IoDaemonScheduling, EndToEndListIoRoundTripsOneStoreOpPerRun) {
+  // Full client -> cluster round trips, cyclic pattern: the data must
+  // come back byte-identical, and each server must execute one store
+  // access per coalesced run.
+  InProcCluster cluster(4);
+  Client client = cluster.MakeClient();
+  auto fd = client.Create("f", Striping{0, 4, 64});
+  ASSERT_TRUE(fd.ok());
+  // 96 small adjacent records: every 64-region chunk tiles [0, 1024),
+  // so each server's 16 fragments per chunk collapse to one local run.
+  ExtentList file;
+  for (std::uint64_t i = 0; i < 96; ++i) file.push_back({i * 16, 16});
+  ByteBuffer buffer(96 * 16);
+  FillPattern(buffer, 42, 0);
+  ExtentList mem{{0, buffer.size()}};
+  ASSERT_TRUE(client.WriteList(*fd, mem, buffer, file).ok());
 
-  for (InProcCluster* cluster : {&plain, &scheduled}) {
-    Client client = cluster->MakeClient();
-    auto fd = client.Create("f", Striping{0, 4, 64});
-    ASSERT_TRUE(fd.ok());
-    // 96 small adjacent records: every 64-region chunk tiles [0, 1024),
-    // so each server's 16 fragments per chunk collapse to one local run.
-    ExtentList file;
-    for (std::uint64_t i = 0; i < 96; ++i) file.push_back({i * 16, 16});
-    ByteBuffer buffer(96 * 16);
-    FillPattern(buffer, 42, 0);
-    ExtentList mem{{0, buffer.size()}};
-    ASSERT_TRUE(client.WriteList(*fd, mem, buffer, file).ok());
+  ByteBuffer back(buffer.size(), std::byte{0});
+  ASSERT_TRUE(client.ReadList(*fd, mem, back, file).ok());
+  EXPECT_EQ(back, buffer);
 
-    ByteBuffer back(buffer.size(), std::byte{0});
-    ASSERT_TRUE(client.ReadList(*fd, mem, back, file).ok());
-    EXPECT_EQ(back, buffer);
-  }
-  // Same logical traffic on both clusters; the scheduled one executed
-  // fewer (or equal) contiguous store accesses, and both account the
-  // same coalesced run count.
-  std::uint64_t plain_ops = 0, sched_ops = 0, plain_runs = 0,
-                sched_runs = 0;
+  std::uint64_t ops = 0, runs = 0, regions = 0;
   for (ServerId s = 0; s < 4; ++s) {
-    plain_ops += plain.iods[s]->stats().store_ops;
-    sched_ops += scheduled.iods[s]->stats().store_ops;
-    plain_runs += plain.iods[s]->stats().local_accesses;
-    sched_runs += scheduled.iods[s]->stats().local_accesses;
+    ops += cluster.iods[s]->stats().store_ops;
+    runs += cluster.iods[s]->stats().local_accesses;
+    regions += cluster.iods[s]->stats().regions;
   }
-  EXPECT_EQ(plain_runs, sched_runs);
-  EXPECT_LT(sched_ops, plain_ops);
+  EXPECT_EQ(ops, runs);
+  // Two chunks (64 + 32 records), written and read back, on 4 servers:
+  // one run each, far fewer accesses than the regions that named them.
+  EXPECT_EQ(runs, 2u * 2u * 4u);
+  EXPECT_LT(ops, regions);
 }
 
 // ---- Client fan-out determinism --------------------------------------------
@@ -556,7 +593,6 @@ TEST(AdmissionChaos, ThreadedClusterBoundedQueueUnderLoad) {
 
   ServerConfig config;
   config.max_queue_depth = 1;
-  config.schedule_fragments = true;
   obs::Registry registry;
   runtime::ThreadedCluster cluster(kServers, config, &registry);
 

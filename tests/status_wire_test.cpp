@@ -123,6 +123,19 @@ TEST(Wire, StringAndBytesRoundTrip) {
   EXPECT_EQ(r.String().value(), "");
 }
 
+TEST(Wire, EmptyStringRoundTripsAlone) {
+  // An empty string decodes from a zero length prefix with no bytes
+  // behind it: nothing to copy, and no copy from a null buffer.
+  WireWriter w;
+  w.String("");
+  EXPECT_EQ(w.data().size(), sizeof(std::uint32_t));
+  WireReader r(w.data());
+  auto decoded = r.String();
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value(), "");
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
 TEST(Wire, TruncatedReadsFail) {
   WireWriter w;
   w.U16(7);
