@@ -24,7 +24,6 @@
 #include "bench_util.hpp"
 #include "common/wire.hpp"
 #include "net/framing.hpp"
-#include "net/mux_transport.hpp"
 #include "net/socket_transport.hpp"
 #include "pvfs/admission.hpp"
 #include "pvfs/iod.hpp"
@@ -283,7 +282,7 @@ int main(int argc, char** argv) {
     seed.op = IoOp::kWrite;
     seed.regions = {{0, kFileBytes}};
     seed.payload.assign(kFileBytes, std::byte{0x5a});
-    auto fd = ConnectSocket(addr, std::chrono::milliseconds(5000), true);
+    auto fd = ConnectSocket(addr, std::chrono::milliseconds(5000));
     if (!fd.ok() ||
         !SendFrame(*fd, SealFrameWithId(seed.Encode(), 1)).ok() ||
         !RecvFrame(*fd).ok()) {
@@ -301,7 +300,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t i = 0; i < kClients; ++i) {
     clients[i].index = i;
     clients[i].remaining = kRequestsPerClient;
-    auto fd = ConnectSocket(addr, std::chrono::milliseconds(0), false);
+    auto fd = ConnectSocket(addr, std::chrono::milliseconds(0));
     if (!fd.ok()) {
       ++connect_failures;
       clients[i].remaining = 0;
@@ -370,9 +369,8 @@ int main(int argc, char** argv) {
 
   // ---- Cell 2: multiplexed client over one shared connection --------------
   ClientConfig mux_config;
-  mux_config.multiplex = true;
   mux_config.call_timeout = std::chrono::milliseconds(30000);
-  MuxSocketTransport mux(addr, {}, mux_config);
+  SocketTransport mux(addr, {}, mux_config);
   std::atomic<std::uint64_t> mux_errors{0};
   const auto mux_start = std::chrono::steady_clock::now();
   {

@@ -138,7 +138,8 @@ int main(int argc, char** argv) {
   {
     auto cluster = SocketCluster::Start(4);
     if (!cluster.ok()) return 1;
-    auto transport = (*cluster)->Connect(std::chrono::milliseconds{500});
+    auto transport = (*cluster)->Connect(
+        {.call_timeout = std::chrono::milliseconds{500}});
     Client client(transport.get(), FailoverOptions());
     CellResult r = RunCell(nullptr, client, "f", ReplicationConfig{1}, golden,
                            ops);
@@ -153,7 +154,8 @@ int main(int argc, char** argv) {
   {
     auto cluster = SocketCluster::Start(4);
     if (!cluster.ok()) return 1;
-    auto transport = (*cluster)->Connect(std::chrono::milliseconds{500});
+    auto transport = (*cluster)->Connect(
+        {.call_timeout = std::chrono::milliseconds{500}});
     Client client(transport.get(), FailoverOptions());
     CellResult r = RunCell(nullptr, client, "f", ReplicationConfig{2}, golden,
                            ops);
@@ -168,7 +170,8 @@ int main(int argc, char** argv) {
   {
     auto cluster = SocketCluster::Start(4);
     if (!cluster.ok()) return 1;
-    auto transport = (*cluster)->Connect(std::chrono::milliseconds{500});
+    auto transport = (*cluster)->Connect(
+        {.call_timeout = std::chrono::milliseconds{500}});
     Client client(transport.get(), FailoverOptions());
     CellResult r = RunCell(cluster->get(), client, "f", ReplicationConfig{2},
                            golden, ops);

@@ -28,7 +28,6 @@
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
 #include "common/extent.hpp"
-#include "net/mux_transport.hpp"
 #include "net/socket_transport.hpp"
 #include "pvfs/client.hpp"
 
@@ -210,7 +209,8 @@ int main(int argc, char** argv) {
   {
     auto cluster = SocketCluster::Start(kStriping.pcount, DeviceModel(false), 0);
     if (!cluster.ok()) return 1;
-    auto transport = (*cluster)->Connect(std::chrono::milliseconds{2000});
+    auto transport = (*cluster)->Connect(
+        {.call_timeout = std::chrono::milliseconds{2000}});
     Client client(transport.get(), Client::Options{});
     CellResult r =
         RunStreamingCell(**cluster, client, shape, /*pipelined=*/false,
@@ -225,14 +225,12 @@ int main(int argc, char** argv) {
     json.Row(CellJson("sync-baseline", r, shape));
   }
 
-  // ---- pipelined: flows on, mux transport, async ops --------------------
+  // ---- pipelined: flows on, async ops, parallel fan-out -----------------
   {
     auto cluster = SocketCluster::Start(kStriping.pcount, DeviceModel(true), 0);
     if (!cluster.ok()) return 1;
-    ClientConfig net_config;
-    net_config.multiplex = true;
-    net_config.call_timeout = std::chrono::milliseconds{2000};
-    auto transport = (*cluster)->Connect(net_config);
+    auto transport = (*cluster)->Connect(
+        {.call_timeout = std::chrono::milliseconds{2000}});
     Client::Options options;
     options.async_workers = shape.window;
     // Part of the async pipeline: one op's per-server exchanges proceed
@@ -242,9 +240,7 @@ int main(int argc, char** argv) {
     Client client(transport.get(), options);
     CellResult r = RunStreamingCell(**cluster, client, shape,
                                     /*pipelined=*/true, golden);
-    if (auto* mux = dynamic_cast<MuxSocketTransport*>(transport.get())) {
-      r.mux_reconnects = mux->stats().reconnects;
-    }
+    r.mux_reconnects = transport->stats().reconnects;
     piped_mbs = r.seconds > 0
                     ? static_cast<double>(shape.total_bytes()) * 2 / 1.0e6 /
                           r.seconds

@@ -7,16 +7,16 @@
 //                    reads), complete frames pop out. Hostile length
 //                    prefixes are rejected when the header completes,
 //                    before any payload allocation.
-//   SendFrame /    — blocking helpers for the classic one-request-at-a-
-//   RecvFrame        time client connection (and anything else holding a
-//                    blocking fd).
+//   SendFrame /    — blocking helpers for the client transport's
+//   RecvFrame        connections (and anything else holding a blocking
+//                    fd).
 //
 // The payload of every frame on the daemon wire is a CRC32C-sealed
 // message (src/common/wire): payload || u64 request id || u32 CRC.
 // PeekTrailerId reads the request id straight out of those trailer bytes
-// without verifying the seal — the multiplexing correlation key. Both
-// ends of a multiplexed connection apply the same rule to the same
-// bytes, so even a frame that fails its CRC still correlates to the
+// without verifying the seal — the key that matches a reply to its
+// caller on a shared connection. Both ends apply the same rule to the
+// same bytes, so even a frame that fails its CRC still correlates to the
 // exchange that carried it (the kCorruption reply must reach the right
 // waiter, not time out).
 #pragma once
@@ -105,7 +105,7 @@ class FrameDecoder {
   bool failed_ = false;
 };
 
-// ---- Blocking helpers (classic client connections) -------------------------
+// ---- Blocking helpers (client connections) ---------------------------------
 
 /// send() until done. Transmission failures surface as kUnavailable (the
 /// peer may be restarting) or kDeadlineExceeded (an armed SO_SNDTIMEO

@@ -3,16 +3,17 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-
-#include "net/mux_transport.hpp"
+#include <optional>
 
 namespace pvfs::net {
 
@@ -426,10 +427,28 @@ void SocketServer::CloseConnection(std::uint64_t id) {
 
 // ---- SocketTransport --------------------------------------------------------
 
+namespace {
+
+/// Waits until `fd` is readable (or failed: the read that follows reports
+/// it) or `deadline` passes; false on the deadline.
+bool PollReadable(int fd, std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd p{fd, POLLIN, 0};
+    const int n = ::poll(&p, 1, static_cast<int>(std::max<std::int64_t>(
+                                    0, left.count())));
+    if (n == 0) return false;
+    if (n > 0 || errno != EINTR) return true;
+  }
+}
+
+}  // namespace
+
 SocketTransport::SocketTransport(SocketAddress manager,
                                  std::vector<SocketAddress> iods,
-                                 std::chrono::milliseconds call_timeout)
-    : call_timeout_(call_timeout) {
+                                 ClientConfig config)
+    : config_(config) {
   manager_.address = std::move(manager);
   iods_.reserve(iods.size());
   for (SocketAddress& addr : iods) {
@@ -446,42 +465,172 @@ SocketTransport::~SocketTransport() {
   }
 }
 
-Result<std::vector<std::byte>> SocketTransport::CallOn(
+void SocketTransport::LoseConnectionLocked(Connection& conn,
+                                           const Status& why) {
+  if (conn.dead) return;
+  conn.dead = true;
+  // Wakes a read turn blocked on the fd and fails a concurrent send.
+  if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
+  for (auto& [id, waiter] : conn.pending) {
+    waiter->status = why;
+    waiter->done = true;
+  }
+  conn.pending.clear();
+  conn.cv.notify_all();
+}
+
+Status SocketTransport::EnsureConnectedLocked(
+    Connection& conn, std::unique_lock<std::mutex>& lock) {
+  if (conn.fd >= 0 && !conn.dead) return Status::Ok();
+  // The old fd stays open until no thread reads or sends on it, so its
+  // number cannot be recycled under them. A dead fd is shut down, so both
+  // finish promptly.
+  conn.cv.wait(lock, [&] { return !conn.reading && !conn.sending; });
+  if (conn.fd >= 0 && !conn.dead) return Status::Ok();  // reconnected
+  if (conn.fd >= 0) {
+    ::close(conn.fd);
+    conn.fd = -1;
+  }
+  PVFS_ASSIGN_OR_RETURN(conn.fd,
+                        ConnectSocket(conn.address, config_.call_timeout));
+  conn.dead = false;
+  conn.given_up = 0;  // late replies died with the old connection
+  reconnects_.fetch_add(1, std::memory_order_relaxed);
+  return Status::Ok();
+}
+
+void SocketTransport::RouteLocked(Connection& conn,
+                                  std::vector<std::byte> frame) {
+  auto it = conn.pending.find(PeekTrailerId(frame));
+  if (it == conn.pending.end()) {
+    if (conn.given_up > 0 || conn.pending.size() != 1) {
+      // The late reply of a caller that passed its deadline (or of a
+      // replayed duplicate): dropping it keeps the stream usable.
+      if (conn.given_up > 0) --conn.given_up;
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    // Nobody gave up, so the peer does not echo request ids (a raw byte
+    // service): the reply belongs to the one exchange in flight.
+    it = conn.pending.begin();
+  }
+  it->second->response = std::move(frame);
+  it->second->done = true;
+  conn.pending.erase(it);
+  matched_.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool SocketTransport::ReadTurn(Connection& conn,
+                               std::unique_lock<std::mutex>& lock,
+                               const Clock::time_point* deadline) {
+  conn.reading = true;
+  const int fd = conn.fd;
+  lock.unlock();
+  std::optional<Result<std::vector<std::byte>>> frame;
+  if (deadline == nullptr || PollReadable(fd, *deadline)) {
+    frame = RecvFrame(fd);
+  }
+  lock.lock();
+  conn.reading = false;
+  conn.cv.notify_all();  // the turn is free, and a waiter may be done
+  if (!frame.has_value()) return false;
+  if (!frame->ok()) {
+    LoseConnectionLocked(
+        conn, Unavailable(frame->status().message() + " (receiving from " +
+                          EndpointLabel(conn.address) + ")"));
+  } else {
+    RouteLocked(conn, std::move(**frame));
+  }
+  return true;
+}
+
+Result<std::vector<std::byte>> SocketTransport::Exchange(
     Connection& conn, std::span<const std::byte> request) {
-  std::lock_guard lock(conn.mutex);
-  if (conn.fd < 0) {
-    PVFS_ASSIGN_OR_RETURN(
-        conn.fd, ConnectSocket(conn.address, call_timeout_,
-                               /*arm_receive_timeout=*/true));
+  // id may be 0 for a frame too short to carry a trailer (e.g. a fault
+  // injector truncated it): the server peeks the same raw bytes, so its
+  // kCorruption reply also carries id 0 and still correlates. The
+  // uniqueness wait below serializes concurrent id-0 exchanges.
+  const std::uint64_t id = PeekTrailerId(request);
+  Waiter waiter;
+  std::unique_lock lock(conn.mutex);
+  // In-flight budget, and id uniqueness: a fault injector's duplicated
+  // call re-sends the same sealed bytes, so the same id may knock twice —
+  // the second waits for the first to settle.
+  auto admissible = [&] {
+    return (config_.max_inflight == 0 ||
+            conn.pending.size() < config_.max_inflight) &&
+           !conn.pending.contains(id);
+  };
+  do {
+    conn.cv.wait(lock, admissible);
+    PVFS_RETURN_IF_ERROR(EnsureConnectedLocked(conn, lock));
+  } while (!admissible());
+  conn.pending.emplace(id, &waiter);
+  lock.unlock();
+  requests_.fetch_add(1, std::memory_order_relaxed);
+
+  Status sent = Status::Ok();
+  {
+    // Whole frames from concurrent callers interleave on the wire, never
+    // their bytes. A connection lost since registering has already failed
+    // this waiter; its request is not sent.
+    std::lock_guard wlock(conn.write_mutex);
+    lock.lock();
+    const int fd = waiter.done ? -1 : conn.fd;
+    conn.sending = fd >= 0;
+    lock.unlock();
+    if (fd >= 0) sent = SendFrame(fd, request);
+    lock.lock();
+    conn.sending = false;
+    if (conn.dead) conn.cv.notify_all();  // a reconnect may wait for it
   }
-  Status sent = SendFrame(conn.fd, request);
   if (!sent.ok()) {
-    ::close(conn.fd);
-    conn.fd = -1;
-    return Status(sent.code(), sent.message() + " (sending to " +
+    // Poison the connection: a half-written frame desynchronizes the
+    // stream, so concurrent exchanges fail fast and the next reconnects.
+    conn.pending.erase(id);
+    sent = Status(sent.code(), sent.message() + " (sending to " +
                                    EndpointLabel(conn.address) + ")");
+    LoseConnectionLocked(conn, Unavailable(sent.message()));
+    return sent;
   }
-  auto response = RecvFrame(conn.fd);
-  if (!response.ok()) {
-    ::close(conn.fd);
-    conn.fd = -1;
-    return Status(response.status().code(),
-                  response.status().message() + " (receiving from " +
-                      EndpointLabel(conn.address) + ")");
+
+  const bool bounded = config_.call_timeout.count() > 0;
+  const Clock::time_point deadline = Clock::now() + config_.call_timeout;
+  auto turn_or_done = [&] { return waiter.done || !conn.reading; };
+  while (!waiter.done) {
+    if (!conn.reading) {
+      if (!ReadTurn(conn, lock, bounded ? &deadline : nullptr)) break;
+    } else if (!bounded) {
+      conn.cv.wait(lock, turn_or_done);
+    } else if (!conn.cv.wait_until(lock, deadline, turn_or_done)) {
+      break;
+    }
   }
-  return response;
+  if (!waiter.done) {
+    conn.pending.erase(id);  // the late reply will be counted + dropped
+    ++conn.given_up;
+    conn.cv.notify_all();  // an in-flight slot freed
+    return DeadlineExceeded("recv: response timed out (receiving from " +
+                            EndpointLabel(conn.address) + ")");
+  }
+  if (!waiter.status.ok()) return waiter.status;
+  return std::move(waiter.response);
 }
 
 Result<std::vector<std::byte>> SocketTransport::Call(
     const Endpoint& dest, std::span<const std::byte> request) {
-  if (dest.is_manager) return CallOn(manager_, request);
+  if (dest.is_manager) return Exchange(manager_, request);
   if (dest.server >= iods_.size()) return NotFound("no such I/O server");
-  return CallOn(*iods_[dest.server], request);
+  return Exchange(*iods_[dest.server], request);
+}
+
+SocketTransport::Stats SocketTransport::stats() const {
+  return Stats{requests_.load(), matched_.load(), dropped_.load(),
+               reconnects_.load()};
 }
 
 Result<int> ConnectSocket(const SocketAddress& address,
-                          std::chrono::milliseconds timeout,
-                          bool arm_receive_timeout) {
+                          std::chrono::milliseconds timeout) {
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return Internal("socket() failed");
   sockaddr_in addr{};
@@ -503,12 +652,7 @@ Result<int> ConnectSocket(const SocketAddress& address,
     tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
     tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-    // A multiplexed connection's reader must idle indefinitely between
-    // replies, so it never arms SO_RCVTIMEO; the classic exchange path
-    // does (one request, one bounded wait).
-    if (arm_receive_timeout) {
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    }
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   }
   return fd;
 }
@@ -631,7 +775,8 @@ Result<RepairReport> SocketCluster::RepairIod(ServerId s) const {
   // The timeout only bounds fetches from replicas that die mid-repair, so
   // it is generous: a sanitized build under full test load must not trip
   // it and abandon the scrub halfway.
-  auto transport = Connect(std::chrono::milliseconds{10'000});
+  auto transport =
+      Connect({.call_timeout = std::chrono::milliseconds{10'000}});
   return RepairRestartedIod(*transport, s);
 }
 
@@ -645,20 +790,9 @@ std::vector<SocketAddress> SocketCluster::iod_addresses() const {
 }
 
 std::unique_ptr<SocketTransport> SocketCluster::Connect(
-    std::chrono::milliseconds call_timeout) const {
-  return std::make_unique<SocketTransport>(manager_address(),
-                                           iod_addresses(), call_timeout);
-}
-
-std::unique_ptr<Transport> SocketCluster::Connect(
     const ClientConfig& config) const {
-  if (config.multiplex) {
-    return std::make_unique<MuxSocketTransport>(manager_address(),
-                                                iod_addresses(), config);
-  }
   return std::make_unique<SocketTransport>(manager_address(),
-                                           iod_addresses(),
-                                           config.call_timeout);
+                                           iod_addresses(), config);
 }
 
 }  // namespace pvfs::net

@@ -12,13 +12,11 @@
 //                    with connections, not threads — the C10K rework of
 //                    the original thread-per-connection server
 //                    (docs/event-transport.md).
-//   SocketTransport— classic Transport implementation over persistent
-//                    per-daemon connections, one request in flight per
-//                    connection (lazily established, mutex-serialized).
-//   MuxSocketTransport (net/mux_transport.hpp) — the multiplexed client:
-//                    N logical requests in flight on one connection per
-//                    daemon, replies matched by the sealed request-id
-//                    trailer. Selected via ClientConfig::multiplex.
+//   SocketTransport— the client: one persistent connection per daemon,
+//                    any number of calls in flight on it, replies matched
+//                    to callers by the sealed request-id trailer. The
+//                    calling threads take turns reading the connection;
+//                    no thread of its own is started.
 //   SocketCluster  — convenience: manager + N I/O daemons listening on
 //                    ephemeral loopback ports inside this process.
 //
@@ -214,13 +212,10 @@ inline std::string EndpointLabel(const SocketAddress& address) {
 }
 
 /// Open a blocking TCP connection to `address` (TCP_NODELAY set). A
-/// non-zero `timeout` arms SO_SNDTIMEO, and SO_RCVTIMEO too when
-/// `arm_receive_timeout` — multiplexed connections keep receives
-/// unbounded (their reader idles between replies) and bound waits with a
-/// condition variable instead.
+/// non-zero `timeout` arms SO_SNDTIMEO and SO_RCVTIMEO, so a peer that
+/// stalls in the middle of a frame ends in a typed error.
 Result<int> ConnectSocket(const SocketAddress& address,
-                          std::chrono::milliseconds timeout,
-                          bool arm_receive_timeout);
+                          std::chrono::milliseconds timeout);
 
 /// How a client connects to the cluster's daemons.
 struct ClientConfig {
@@ -229,24 +224,42 @@ struct ClientConfig {
   /// (the client retry layer's per-request timeout). Required when the
   /// caller expects daemons to crash.
   std::chrono::milliseconds call_timeout{0};
-  /// Multiplex: one connection per daemon carrying many in-flight logical
-  /// requests, replies matched by the sealed request-id trailer
-  /// (MuxSocketTransport). Off = the historical one-request-per-
-  /// connection exchange; fig09-17 and every default path use off.
-  bool multiplex = false;
-  /// Multiplexed mode only: cap on concurrently in-flight requests per
-  /// connection; issuing threads beyond it wait (client-side
-  /// backpressure). 0 = unbounded.
+  /// Cap on concurrently in-flight requests per connection; issuing
+  /// threads beyond it wait (client-side backpressure). 0 = unbounded.
   std::uint32_t max_inflight = 0;
 };
 
+/// The client transport: one TCP connection per daemon, opened on first
+/// use and shared by every thread that calls through this object.
+///
+/// Every sealed request frame carries a unique nonzero request id in its
+/// CRC trailer (src/common/wire), and the daemons seal each reply under
+/// the id of the request that caused it. Callers register under that id,
+/// send whole frames (sends are serialized) and then take turns reading:
+/// the one caller holding the connection's *read turn* reads frames and
+/// hands each to the caller registered under its PeekTrailerId, and gives
+/// the turn up when its own reply lands or its deadline passes. With one
+/// call in flight that is the classic exchange: send, then receive on the
+/// calling thread. With many, replies pipeline on the one connection.
+///
+/// Correlation uses PeekTrailerId (raw trailer bytes, no CRC check), so a
+/// reply corrupted in flight still reaches its caller and fails there
+/// with kCorruption instead of stranding it until its deadline.
+///
+/// Failure model: a connection-level failure (EOF, reset, a half-written
+/// send) fails every call in flight on that connection with kUnavailable
+/// and the next call reconnects. A caller that passes its deadline fails
+/// with kDeadlineExceeded; its late reply is read by a later caller,
+/// counted and dropped, and the stream stays usable. Every such error
+/// names the daemon (EndpointLabel).
+///
+/// Thread safety: any number of threads may Call concurrently. No Call
+/// may be in flight during destruction. See docs/event-transport.md.
 class SocketTransport final : public Transport {
  public:
   /// manager + iods[i] addresses; connections open on first use.
-  /// `call_timeout` as ClientConfig::call_timeout.
   SocketTransport(SocketAddress manager, std::vector<SocketAddress> iods,
-                  std::chrono::milliseconds call_timeout =
-                      std::chrono::milliseconds{0});
+                  ClientConfig config = {});
   ~SocketTransport() override;
 
   Result<std::vector<std::byte>> Call(
@@ -256,19 +269,57 @@ class SocketTransport final : public Transport {
     return static_cast<std::uint32_t>(iods_.size());
   }
 
+  struct Stats {
+    std::uint64_t requests = 0;           // exchanges issued
+    std::uint64_t responses_matched = 0;  // replies routed to a waiter
+    std::uint64_t responses_dropped = 0;  // replies with no waiter left
+    std::uint64_t reconnects = 0;         // connections (re)established
+  };
+  Stats stats() const;
+
  private:
-  struct Connection {
-    SocketAddress address;
-    int fd = -1;
-    std::mutex mutex;
+  using Clock = std::chrono::steady_clock;
+
+  /// One in-flight exchange, owned by the calling thread's stack; the
+  /// pending map holds a pointer only while the id is registered.
+  struct Waiter {
+    std::vector<std::byte> response;
+    Status status = Status::Ok();
+    bool done = false;
   };
 
-  Result<std::vector<std::byte>> CallOn(Connection& conn,
-                                        std::span<const std::byte> request);
+  struct Connection {
+    SocketAddress address;
+    std::mutex mutex;  // guards everything below
+    std::condition_variable cv;
+    std::mutex write_mutex;  // serializes whole-frame sends
+    int fd = -1;
+    bool dead = false;     // fd unusable; close deferred to reconnect/dtor
+    bool reading = false;  // a caller holds the read turn on fd
+    bool sending = false;  // a caller is writing a frame to fd
+    /// Callers that passed their deadline on this connection and whose
+    /// replies have not been read yet.
+    std::uint32_t given_up = 0;
+    std::unordered_map<std::uint64_t, Waiter*> pending;
+  };
+
+  Result<std::vector<std::byte>> Exchange(Connection& conn,
+                                          std::span<const std::byte> request);
+  Status EnsureConnectedLocked(Connection& conn,
+                               std::unique_lock<std::mutex>& lock);
+  bool ReadTurn(Connection& conn, std::unique_lock<std::mutex>& lock,
+                const Clock::time_point* deadline);
+  void RouteLocked(Connection& conn, std::vector<std::byte> frame);
+  static void LoseConnectionLocked(Connection& conn, const Status& why);
 
   Connection manager_;
   std::vector<std::unique_ptr<Connection>> iods_;
-  std::chrono::milliseconds call_timeout_{0};
+  ClientConfig config_;
+
+  std::atomic<std::uint64_t> requests_{0};
+  std::atomic<std::uint64_t> matched_{0};
+  std::atomic<std::uint64_t> dropped_{0};
+  std::atomic<std::uint64_t> reconnects_{0};
 };
 
 /// An entire functional PVFS deployment behind real TCP sockets on
@@ -290,18 +341,12 @@ class SocketCluster {
       std::uint32_t server_count, const ServerConfig& config,
       std::uint16_t base_port, obs::Registry* registry = nullptr);
 
-  /// Builds a transport connected to this cluster (each caller gets its
-  /// own connections; safe to create one per client thread). A non-zero
-  /// `call_timeout` arms per-request socket timeouts — required when the
-  /// caller expects daemons to crash (see StopIod).
+  /// Builds a transport connected to this cluster. Each transport has its
+  /// own connections and may be shared by any number of client threads.
+  /// A non-zero `config.call_timeout` arms per-request timeouts — required
+  /// when the caller expects daemons to crash (see StopIod).
   std::unique_ptr<SocketTransport> Connect(
-      std::chrono::milliseconds call_timeout =
-          std::chrono::milliseconds{0}) const;
-
-  /// Transport per `config`: the classic exchange path, or the
-  /// multiplexed one (config.multiplex) sharing one connection per daemon
-  /// among any number of client threads.
-  std::unique_ptr<Transport> Connect(const ClientConfig& config) const;
+      const ClientConfig& config = {}) const;
 
   /// Crash one I/O daemon: its TCP server stops accepting and all its
   /// live connections die. The daemon object (and its store — the "disk")

@@ -464,7 +464,8 @@ TEST(RetrySchedule, BackoffTotalsArePinnedPerCaller) {
 TEST(SocketChaos, StoppedIodFailsTypedThenRecovers) {
   auto cluster = net::SocketCluster::Start(4);
   ASSERT_TRUE(cluster.ok());
-  auto transport = (*cluster)->Connect(milliseconds{250});
+  auto transport =
+      (*cluster)->Connect({.call_timeout = milliseconds{250}});
   Client client(transport.get());
 
   auto fd = client.Create("f", Striping{0, 4, 16384});
@@ -494,7 +495,8 @@ TEST(SocketChaos, StoppedIodFailsTypedThenRecovers) {
 TEST(SocketChaos, RetryingClientRidesOutRestart) {
   auto cluster = net::SocketCluster::Start(4);
   ASSERT_TRUE(cluster.ok());
-  auto transport = (*cluster)->Connect(milliseconds{250});
+  auto transport =
+      (*cluster)->Connect({.call_timeout = milliseconds{250}});
   Client::Options options;
   options.retry.max_attempts = 40;
   options.retry.initial_backoff = microseconds{1000};

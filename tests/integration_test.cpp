@@ -134,9 +134,9 @@ TEST(GrandTour, SocketClusterEndToEnd) {
     std::unique_ptr<net::SocketTransport> inner;
   };
 
-  // Replay spawns one thread per rank; SocketTransport serializes per
-  // connection, so a single shared transport works but a per-test one is
-  // closer to real deployments.
+  // Replay spawns one thread per rank, all sharing this one transport:
+  // their calls pipeline on one connection per daemon, each reply routed
+  // to its caller by request id.
   SocketFactoryTransport transport(**cluster);
   trace::ReplayOptions options;
   options.striping = Striping{0, 4, 16384};

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/bytes.hpp"
+#include "common/wire.hpp"
 #include "fault/fault.hpp"
 #include "fault/fault_transport.hpp"
 #include "net/socket_transport.hpp"
@@ -289,7 +290,8 @@ TEST(ReplicationChaos, RetryCountersSplitByErrorCode) {
 TEST(ReplicationSocket, RestartIodScrubsAndSurvivesSecondKill) {
   auto cluster = net::SocketCluster::Start(4);
   ASSERT_TRUE(cluster.ok());
-  auto transport = (*cluster)->Connect(milliseconds{5000});
+  auto transport =
+      (*cluster)->Connect({.call_timeout = milliseconds{5000}});
   Client client(transport.get(), FailoverClientOptions());
 
   auto fd = client.Create("r", kStriping, kTwoWay);
@@ -319,7 +321,8 @@ TEST(ReplicationSocket, RestartIodScrubsAndSurvivesSecondKill) {
 TEST(ReplicationSocket, ExplicitRepairReportsWork) {
   auto cluster = net::SocketCluster::Start(4);
   ASSERT_TRUE(cluster.ok());
-  auto transport = (*cluster)->Connect(milliseconds{5000});
+  auto transport =
+      (*cluster)->Connect({.call_timeout = milliseconds{5000}});
   Client client(transport.get(), FailoverClientOptions());
   auto fd = client.Create("r", kStriping, kTwoWay);
   ASSERT_TRUE(fd.ok());
@@ -338,7 +341,8 @@ TEST(ReplicationSocket, ConnectErrorsNameTheDaemonAddress) {
   auto cluster = net::SocketCluster::Start(2);
   ASSERT_TRUE(cluster.ok());
   const auto addresses = (*cluster)->iod_addresses();
-  auto transport = (*cluster)->Connect(milliseconds{250});
+  auto transport =
+      (*cluster)->Connect({.call_timeout = milliseconds{250}});
   Client client(transport.get());
   auto fd = client.Create("f", Striping{0, 2, 16384});
   ASSERT_TRUE(fd.ok());
@@ -352,6 +356,23 @@ TEST(ReplicationSocket, ConnectErrorsNameTheDaemonAddress) {
   EXPECT_NE(status.message().find(net::EndpointLabel(addresses[1])),
             std::string::npos)
       << status.message();
+}
+
+TEST(ReplicationSocket, TimeoutErrorsNameTheDaemonAddress) {
+  auto server = net::SocketServer::Start(0, [](std::span<const std::byte> req) {
+    std::this_thread::sleep_for(milliseconds{200});  // stalled daemon
+    return std::vector<std::byte>(req.begin(), req.end());
+  });
+  ASSERT_TRUE(server.ok());
+  const net::SocketAddress address{"127.0.0.1", (*server)->port()};
+  net::SocketTransport transport({"127.0.0.1", 0}, {address},
+                                 {.call_timeout = milliseconds{25}});
+  auto reply = transport.Call(Endpoint::Iod(0), SealFrame(ByteBuffer(16)));
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), ErrorCode::kDeadlineExceeded);
+  EXPECT_NE(reply.status().message().find(net::EndpointLabel(address)),
+            std::string::npos)
+      << reply.status().message();
 }
 
 }  // namespace

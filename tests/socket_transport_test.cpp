@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "common/bytes.hpp"
 #include "io/method.hpp"
 #include "runtime/spmd.hpp"
@@ -125,6 +127,37 @@ TEST(SocketTransport, ConnectionFailureIsAnError) {
   ByteBuffer msg(8);
   auto resp = transport.Call(Endpoint::ManagerNode(), msg);
   EXPECT_FALSE(resp.ok());
+}
+
+std::size_t ThreadCount() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SocketTransport, StartsNoThread) {
+  // Callers read their own replies: exchanging with the manager and every
+  // iod through one transport leaves the process's thread count as it was.
+  auto cluster = SocketCluster::Start(4);
+  ASSERT_TRUE(cluster.ok());
+  auto transport = (*cluster)->Connect();
+  Client client(transport.get());
+  const std::size_t before = ThreadCount();
+
+  auto fd = client.Create("/net/threads", Striping{0, 4, 4096});
+  ASSERT_TRUE(fd.ok());
+  ByteBuffer data(4 * 4096);
+  FillPattern(data, 11, 0);
+  ASSERT_TRUE(client.Write(*fd, 0, data).ok());
+  ByteBuffer back(data.size());
+  ASSERT_TRUE(client.Read(*fd, 0, back).ok());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(transport->stats().reconnects, 5u);  // manager + 4 iods
+
+  EXPECT_EQ(ThreadCount(), before);
 }
 
 TEST(SocketServer, SurvivesClientsDisconnecting) {
