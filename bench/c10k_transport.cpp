@@ -309,7 +309,7 @@ int main(int argc, char** argv) {
     ::fcntl(*fd, F_SETFL, ::fcntl(*fd, F_GETFL, 0) | O_NONBLOCK);
     clients[i].fd = *fd;
   }
-  // Every surviving connection is open at once before any request flows —
+  // Every surviving connection is open at once before any request is sent —
   // the concurrency claim the bench exists to prove.
   for (int spin = 0;
        spin < 5000 &&

@@ -326,13 +326,9 @@ void SocketServer::WorkerLoop() {
     }
     std::vector<std::byte> response;
     {
-      // By default the daemons are externally synchronized: one service
-      // call at a time per server, exactly as the thread-per-connection
-      // transport guaranteed. A flows daemon synchronizes internally
-      // (ServerConfig::flows), so its options drop the mutex and service
-      // calls overlap.
-      std::unique_lock lock(service_mutex_, std::defer_lock);
-      if (options_.serialize_service) lock.lock();
+      // The daemons are externally synchronized: one service call at a
+      // time per server.
+      std::lock_guard lock(service_mutex_);
       if (admission_ != nullptr) admission_->BeginService(w.slot);
       response = service_(w.frame);
     }
@@ -677,9 +673,6 @@ SocketCluster::SocketCluster(std::uint32_t server_count,
 SocketServer::Options SocketCluster::IodServerOptions(ServerId s) const {
   SocketServer::Options options;
   options.worker_threads = config_.transport_workers;
-  // A flows daemon is internally synchronized (atomic stats, locked
-  // store): let the transport run its Serve calls concurrently.
-  options.serialize_service = !config_.flows;
   options.correlate_responses = true;
   options.registry = registry_;
   options.metric_labels = {{"server", std::to_string(s)}};

@@ -55,17 +55,11 @@ class SocketServer {
   /// Event-loop tuning. The defaults suit the daemons; tests shrink the
   /// buffers to make backpressure observable.
   struct Options {
-    /// Service worker threads draining the request queue. With
-    /// `serialize_service` (the default), service calls are still
-    /// serialized per server (the daemons are externally synchronized),
-    /// so extra workers overlap framing/correlation work with service,
-    /// not service with itself.
+    /// Service worker threads draining the request queue. Service calls
+    /// are serialized per server (the daemons are externally
+    /// synchronized), so extra workers overlap only the hand-off of one
+    /// reply with the next request's service, not service with itself.
     std::uint32_t worker_threads = 2;
-    /// Run at most one service call at a time. Turned off for daemons
-    /// whose service is internally synchronized (ServerConfig::flows),
-    /// letting the workers run Serve concurrently so in-flight requests
-    /// overlap each other's device time.
-    bool serialize_service = true;
     /// Per-connection bound on dispatched-but-unanswered requests;
     /// reading from a connection pauses at the bound and resumes as
     /// replies drain (multiplexing backpressure). 0 = unbounded.

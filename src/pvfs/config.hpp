@@ -50,32 +50,12 @@ struct ServerConfig {
   std::uint32_t max_list_regions = kMaxListRegions;
   std::uint32_t max_queue_depth = 0;
   /// Worker threads draining the TCP event loop's request queue
-  /// (net::SocketServer::Options::worker_threads). With `flows` off,
-  /// service stays serialized per daemon and workers only overlap framing
-  /// with service; with `flows` on, the workers run Serve concurrently.
+  /// (net::SocketServer::Options::worker_threads). Every worker takes the
+  /// server's service mutex, so service stays serialized per daemon: a
+  /// second worker overlaps only the hand-off of one reply (admission
+  /// release, re-sealing, queueing it for the event loop) with the next
+  /// request's service, never two Serve calls with each other.
   std::uint32_t transport_workers = 2;
-
-  // ---- Async I/O pipeline (docs/async-flows.md) ----
-  //
-  // `flows` turns on bounded-segment pipelining: each request's coalesced
-  // runs stream through the daemon's AsyncStore in segments of at most
-  // `flow_segment_bytes`, at most `flow_inflight` in flight per request,
-  // and the TCP transport stops serializing service so in-flight requests
-  // overlap each other's network and device time. Default off: the
-  // synchronous path journals each request as one intent.
-  bool flows = false;
-  ByteCount flow_segment_bytes = 256 * 1024;
-  std::uint32_t flow_inflight = 4;
-  /// Store-worker threads executing submitted segments (the device queue
-  /// depth the pipeline can exploit).
-  std::uint32_t store_workers = 2;
-
-  // Modeled device time (ModelDeviceTime in pvfs/store_async.hpp), charged
-  // per contiguous store access on BOTH the synchronous and the flow path:
-  // `store_seek_us` positioning cost plus `store_us_per_mib` transfer
-  // cost. Defaults 0 = no modeling, preserving historical timing exactly.
-  std::uint64_t store_seek_us = 0;
-  std::uint64_t store_us_per_mib = 0;
 };
 
 }  // namespace pvfs

@@ -5,20 +5,8 @@
 
 #include "common/request_id.hpp"
 #include "obs/span.hpp"
-#include "pvfs/flow.hpp"
 
 namespace pvfs {
-
-namespace {
-
-/// Raise an atomic high-water mark to `seen` if it is the new maximum.
-void RaiseMax(std::atomic<std::uint64_t>& mark, std::uint64_t seen) {
-  std::uint64_t prev = mark.load();
-  while (seen > prev && !mark.compare_exchange_weak(prev, seen)) {
-  }
-}
-
-}  // namespace
 
 void IoDaemon::RecoverStore() {
   // Concurrent callers are safe: NeedsRecovery/Recover lock the store, and
@@ -100,11 +88,7 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
   // The runs are staged in scratch. Bytes move between scratch and the
   // wire payload fragment by fragment in logical order, so the payload
   // holds this server's bytes back to back in walk order, and overlapping
-  // write fragments keep last-writer-wins. With flows on, the runs move
-  // through the AsyncStore in bounded segments (docs/async-flows.md).
-  const bool flow_path = config_.flows && async_store_ != nullptr;
-  const FlowConfig flow_config{config_.flow_segment_bytes,
-                               config_.flow_inflight};
+  // write fragments keep last-writer-wins.
   std::vector<std::byte> scratch(plan.total_bytes);
   auto for_each_slot = [&](auto copy) {
     ByteCount wire = 0;
@@ -115,12 +99,6 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
       wire += mine[i].length;
     }
   };
-  auto record_flow = [&](const FlowStats& fstats) {
-    stats_.flow_segments += fstats.segments;
-    RaiseMax(stats_.flow_inflight_peak, fstats.peak_inflight);
-    stats_.flow_stall_us += fstats.stall_us;
-    stats_.store_ops += fstats.segments;
-  };
 
   IoResponse resp;
   if (req.op == IoOp::kRead) {
@@ -130,27 +108,16 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
       fault::RotFault rot = fault_->OnStoredRead(id_);
       if (rot.rot) (void)store_.CorruptStoredBit(rot.selector);
     }
-    Status read = Status::Ok();
-    if (flow_path) {
-      FlowStats fstats;
-      read = FlowRead(*async_store_, req.handle, plan.runs, scratch,
-                      flow_config, fstats);
-      record_flow(fstats);
-    } else {
-      ModelDeviceTime(config_.store_seek_us, config_.store_us_per_mib,
-                      plan.runs.size(), plan.total_bytes);
-      for (const ScheduledRun& run : plan.runs) {
-        read = store_.Read(
-            req.handle, run.offset,
-            std::span{scratch}.subspan(run.buf_offset, run.length));
-        if (!read.ok()) break;
+    for (const ScheduledRun& run : plan.runs) {
+      Status read = store_.Read(
+          req.handle, run.offset,
+          std::span{scratch}.subspan(run.buf_offset, run.length));
+      if (!read.ok()) {
+        ++stats_.corruptions_detected;
+        return read;
       }
-      if (read.ok()) stats_.store_ops += plan.runs.size();
     }
-    if (!read.ok()) {
-      ++stats_.corruptions_detected;
-      return read;
-    }
+    stats_.store_ops += plan.runs.size();
     resp.payload.resize(my_bytes);
     for_each_slot([&](ByteCount wire, ByteCount staged, ByteCount length) {
       std::memcpy(resp.payload.data() + wire, scratch.data() + staged,
@@ -185,21 +152,9 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
                          " crashed mid-write (injected torn write)");
     }
   }
-  if (flow_path) {
-    // One journaled intent per segment (docs/async-flows.md discusses the
-    // atomicity granularity trade).
-    FlowStats fstats;
-    Status wrote = FlowWrite(*async_store_, req.handle, plan.runs, scratch,
-                             flow_config, fstats);
-    record_flow(fstats);
-    if (!wrote.ok()) return wrote;
-  } else {
-    // One journaled intent covers every run of this request.
-    ModelDeviceTime(config_.store_seek_us, config_.store_us_per_mib,
-                    pieces.size(), plan.total_bytes);
-    store_.WriteV(req.handle, pieces);
-    stats_.store_ops += pieces.size();
-  }
+  // One journaled intent covers every run of this request.
+  store_.WriteV(req.handle, pieces);
+  stats_.store_ops += pieces.size();
   resp.bytes = my_bytes;
   stats_.bytes_written += my_bytes;
   return resp;
@@ -314,10 +269,6 @@ obs::JsonValue IoDaemon::StatsJson() const {
           obs::JsonValue(stats_.repair_chunks_scanned.load()));
   out.Set("repair_chunks_copied",
           obs::JsonValue(stats_.repair_chunks_copied.load()));
-  out.Set("flow_segments", obs::JsonValue(stats_.flow_segments.load()));
-  out.Set("flow_inflight_peak",
-          obs::JsonValue(stats_.flow_inflight_peak.load()));
-  out.Set("flow_stall_us", obs::JsonValue(stats_.flow_stall_us.load()));
   return out;
 }
 
@@ -347,10 +298,6 @@ void IoDaemon::ExportMetrics(obs::Registry& reg,
       .Set(stats_.repair_chunks_scanned.load());
   reg.Counter("iod.repair.chunks_copied", labels)
       .Set(stats_.repair_chunks_copied.load());
-  reg.Counter("iod.flow.segments", labels).Set(stats_.flow_segments.load());
-  reg.Gauge("iod.flow.inflight", labels)
-      .Set(static_cast<std::int64_t>(stats_.flow_inflight_peak.load()));
-  reg.Counter("iod.flow.stall_us", labels).Set(stats_.flow_stall_us.load());
 }
 
 }  // namespace pvfs

@@ -5,16 +5,18 @@
 // server's bytes in logical-walk order, so the client can reassemble
 // without extra metadata.
 //
-// Thread safety: Serve (and the message handlers above it) may be called
-// concurrently — the store is internally locked, recovery is idempotent
-// under that lock, and every stat is an atomic — which is what lets the
-// TCP transport stop serializing service when ServerConfig::flows is on.
-// The manager remains externally synchronized (one message at a time).
+// Thread safety: every transport serializes service per daemon, one
+// HandleSealedMessage (and so one Serve) at a time: the in-process
+// transport's per-endpoint mutex, ThreadedCluster's one event-loop thread
+// per daemon and the TCP server's service mutex. The store keeps its
+// mutex and every stat stays an atomic because threads outside service
+// read them while a request runs: stats(), ExportMetrics, and tests and
+// benchmark probes that inspect the store. The manager is serialized the
+// same way.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -27,7 +29,6 @@
 #include "pvfs/protocol.hpp"
 #include "pvfs/scheduler.hpp"
 #include "pvfs/store.hpp"
-#include "pvfs/store_async.hpp"
 
 namespace pvfs {
 
@@ -44,14 +45,7 @@ class IoDaemon {
   /// control (`max_queue_depth`) is enforced by the transport in front of
   /// the daemon, not here.
   IoDaemon(ServerId id, const ServerConfig& config)
-      : id_(id), config_(config) {
-    if (config_.flows) {
-      async_store_ = std::make_unique<AsyncStore>(
-          store_, AsyncStore::Options{config_.store_workers,
-                                      config_.store_seek_us,
-                                      config_.store_us_per_mib});
-    }
-  }
+      : id_(id), config_(config) {}
 
   std::vector<std::byte> HandleMessage(std::span<const std::byte> raw);
 
@@ -62,8 +56,8 @@ class IoDaemon {
   std::vector<std::byte> HandleSealedMessage(std::span<const std::byte> raw);
 
   /// Direct-call service path (also used by HandleMessage). Executes the
-  /// request's run plan: one store access per merged local run, or one
-  /// per flow segment when ServerConfig::flows is on.
+  /// request's run plan: one store access per merged local run, and one
+  /// journaled WriteV intent per write request.
   Result<IoResponse> Serve(const IoRequest& req);
 
   /// Replay-or-rollback any write intents left pending by a crash. Runs
@@ -90,13 +84,13 @@ class IoDaemon {
     fault_ = injector;
   }
 
-  /// All counters are atomics: with flows on, the transport runs Serve
-  /// calls concurrently. Readers load individual fields as before.
+  /// All counters are atomics so that readers on other threads (stats(),
+  /// ExportMetrics, benchmark probes) can load fields during service.
   struct Stats {
     std::atomic<std::uint64_t> requests = 0;
     std::atomic<std::uint64_t> regions = 0;  // trailing-data entries received
     std::atomic<std::uint64_t> local_accesses = 0; // coalesced runs (sorted)
-    std::atomic<std::uint64_t> store_ops = 0; // runs (or flow segments) issued
+    std::atomic<std::uint64_t> store_ops = 0; // runs issued
     std::atomic<std::uint64_t> bytes_read = 0;
     std::atomic<std::uint64_t> bytes_written = 0;
     std::atomic<std::uint64_t> injected_errors = 0;  // failed by injection
@@ -109,10 +103,6 @@ class IoDaemon {
     std::atomic<std::uint64_t> scrub_repairs = 0;
     std::atomic<std::uint64_t> repair_chunks_scanned = 0;  // manifests served
     std::atomic<std::uint64_t> repair_chunks_copied = 0;   // applies taken
-    // Flow pipeline accounting (zero unless ServerConfig::flows).
-    std::atomic<std::uint64_t> flow_segments = 0;       // segments executed
-    std::atomic<std::uint64_t> flow_inflight_peak = 0;  // widest window seen
-    std::atomic<std::uint64_t> flow_stall_us = 0;       // full-window waits
   };
   const Stats& stats() const { return stats_; }
   /// The counters as one JSON object (the kStats response body).
@@ -125,9 +115,6 @@ class IoDaemon {
   ServerId id_;
   ServerConfig config_;
   LocalStore store_;
-  /// Present iff config_.flows: the store-worker pool every in-flight
-  /// request's flow shares.
-  std::unique_ptr<AsyncStore> async_store_;
   Stats stats_;
   fault::FaultInjector* fault_ = nullptr;
 };

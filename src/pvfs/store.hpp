@@ -17,11 +17,11 @@
 //     retained journal history where possible.
 //
 // Thread safety: fully thread-safe. Every public entry point takes an
-// internal mutex, so concurrent flow segments (src/pvfs/flow) and
-// overlapping Serve calls can share one store; an individual Read/WriteV
-// remains atomic with respect to every other call. Callers that need
-// multi-call atomicity (none today — one WriteV covers a whole list-I/O
-// intent) must layer their own ordering on top.
+// internal mutex, so threads that inspect the store (tests, probes) may
+// run beside the daemon's serialized Serve calls; an individual
+// Read/WriteV remains atomic with respect to every other call. Callers
+// that need multi-call atomicity (none today — one WriteV covers a whole
+// list-I/O intent) must layer their own ordering on top.
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,12 @@
-// Async I/O pipeline tests (docs/async-flows.md): the AsyncStore
-// submission/completion contract, flow segmentation equivalence with the
-// synchronous store path, the nonblocking client operations
-// (ReadListAsync/WriteListAsync with Test/Wait/Cancel), and the
-// op_deadline retry budget. Suites are named to join the TSan CI matrix
-// (AsyncStore|Flow|AsyncClient|RetryDeadline).
+// Nonblocking client operation tests (docs/async-ops.md): ReadListAsync /
+// WriteListAsync with Test/Wait/Cancel against the default daemons, and
+// the op_deadline retry budget. Suites are named to join the TSan CI
+// matrix (AsyncClient|RetryDeadline).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <set>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -16,9 +14,7 @@
 #include "fault/fault.hpp"
 #include "fault/fault_transport.hpp"
 #include "pvfs/client.hpp"
-#include "pvfs/flow.hpp"
-#include "pvfs/store.hpp"
-#include "pvfs/store_async.hpp"
+#include "pvfs/transport.hpp"
 #include "test_cluster.hpp"
 
 namespace pvfs {
@@ -37,17 +33,6 @@ ByteBuffer Pattern(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-/// A flows-enabled daemon config with small segments, so even modest
-/// requests exercise multi-segment pipelines.
-ServerConfig FlowsConfig() {
-  ServerConfig config;
-  config.flows = true;
-  config.flow_segment_bytes = 4096;
-  config.flow_inflight = 4;
-  config.store_workers = 2;
-  return config;
-}
-
 /// Strided (noncontiguous) file regions for async op `op`.
 std::vector<Extent> StridedRegions(std::uint32_t op, std::uint32_t regions,
                                    ByteCount region_bytes) {
@@ -60,170 +45,10 @@ std::vector<Extent> StridedRegions(std::uint32_t op, std::uint32_t regions,
   return out;
 }
 
-// ---- AsyncStore ------------------------------------------------------------
-
-TEST(AsyncStore, WriteThenReadRoundTripWithTokens) {
-  LocalStore store;
-  AsyncStore async(store, {.workers = 2});
-  AsyncStore::CompletionQueue cq;
-
-  ByteBuffer data = Pattern(10'000, 11);
-  std::vector<LocalStore::WritePiece> pieces{{0, data}};
-  async.SubmitWrite(cq, /*token=*/7, kHandle, pieces);
-  AsyncStore::Completion wrote = cq.Wait();
-  EXPECT_EQ(wrote.token, 7u);
-  EXPECT_TRUE(wrote.status.ok()) << wrote.status.message();
-  EXPECT_EQ(wrote.bytes, data.size());
-
-  ByteBuffer back(data.size());
-  async.SubmitRead(cq, /*token=*/9, kHandle, 0, back);
-  AsyncStore::Completion read = cq.Wait();
-  EXPECT_EQ(read.token, 9u);
-  EXPECT_TRUE(read.status.ok());
-  EXPECT_EQ(read.bytes, back.size());
-  EXPECT_EQ(back, data);
-  EXPECT_EQ(cq.outstanding(), 0u);
-  EXPECT_FALSE(cq.Poll().has_value());
-}
-
-TEST(AsyncStore, CompletionsRouteToTheSubmittersQueue) {
-  // Two independent pipelines share the worker pool; each must see
-  // exactly its own tokens, in whatever order the workers finish.
-  LocalStore store;
-  AsyncStore async(store, {.workers = 3});
-  AsyncStore::CompletionQueue cq_a, cq_b;
-
-  constexpr std::uint32_t kOps = 8;
-  std::vector<ByteBuffer> buffers;
-  buffers.reserve(kOps * 2);
-  for (std::uint32_t i = 0; i < kOps; ++i) {
-    buffers.push_back(Pattern(3000 + i, 20 + i));
-    std::vector<LocalStore::WritePiece> pieces{
-        {static_cast<FileOffset>(i) * 8192, buffers.back()}};
-    async.SubmitWrite(cq_a, /*token=*/100 + i, kHandle, pieces);
-  }
-  for (std::uint32_t i = 0; i < kOps; ++i) {
-    buffers.push_back(ByteBuffer(2048));
-    async.SubmitRead(cq_b, /*token=*/200 + i, kHandle,
-                     static_cast<FileOffset>(i) * 8192, buffers.back());
-  }
-
-  std::set<AsyncStore::Token> got_a, got_b;
-  for (std::uint32_t i = 0; i < kOps; ++i) {
-    AsyncStore::Completion a = cq_a.Wait();
-    EXPECT_TRUE(a.status.ok());
-    got_a.insert(a.token);
-    AsyncStore::Completion b = cq_b.Wait();
-    EXPECT_TRUE(b.status.ok());
-    got_b.insert(b.token);
-  }
-  std::set<AsyncStore::Token> want_a, want_b;
-  for (std::uint32_t i = 0; i < kOps; ++i) {
-    want_a.insert(100 + i);
-    want_b.insert(200 + i);
-  }
-  EXPECT_EQ(got_a, want_a);
-  EXPECT_EQ(got_b, want_b);
-  EXPECT_EQ(cq_a.outstanding(), 0u);
-  EXPECT_EQ(cq_b.outstanding(), 0u);
-}
-
-TEST(AsyncStore, DestructorDrainsEveryPendingWrite) {
-  LocalStore store;
-  AsyncStore::CompletionQueue cq;
-  constexpr std::uint32_t kOps = 16;
-  std::vector<ByteBuffer> buffers;
-  for (std::uint32_t i = 0; i < kOps; ++i) {
-    buffers.push_back(Pattern(4096, 40 + i));
-  }
-  {
-    // One slow worker so most submissions are still queued at destruction.
-    AsyncStore async(store, {.workers = 1, .seek_us = 200});
-    for (std::uint32_t i = 0; i < kOps; ++i) {
-      std::vector<LocalStore::WritePiece> pieces{
-          {static_cast<FileOffset>(i) * 4096, buffers[i]}};
-      async.SubmitWrite(cq, i, kHandle, pieces);
-    }
-  }  // ~AsyncStore must execute all 16 before returning.
-  for (std::uint32_t i = 0; i < kOps; ++i) {
-    ByteBuffer back(4096);
-    ASSERT_TRUE(
-        store.Read(kHandle, static_cast<FileOffset>(i) * 4096, back).ok());
-    EXPECT_EQ(back, buffers[i]) << "op " << i;
-  }
-  // No completion was lost: all 16 are ready to drain without blocking.
-  for (std::uint32_t i = 0; i < kOps; ++i) {
-    auto done = cq.Poll();
-    ASSERT_TRUE(done.has_value()) << "completion " << i;
-    EXPECT_TRUE(done->status.ok());
-  }
-  EXPECT_EQ(cq.outstanding(), 0u);
-}
-
-// ---- Flow ------------------------------------------------------------------
-
-TEST(Flow, WriteReadRoundTripMatchesSynchronousStore) {
-  LocalStore flow_store, sync_store;
-  AsyncStore async(flow_store, {.workers = 2});
-  const FlowConfig config{.segment_bytes = 4096, .max_inflight = 4};
-
-  // Three runs; the first two span multiple segments.
-  const std::vector<ScheduledRun> runs = {
-      {0, 10'000, 0}, {50'000, 7'000, 10'000}, {200'000, 300, 17'000}};
-  ByteBuffer scratch = Pattern(17'300, 55);
-
-  FlowStats wstats;
-  ASSERT_TRUE(
-      FlowWrite(async, kHandle, runs, scratch, config, wstats).ok());
-  // ceil(10000/4096) + ceil(7000/4096) + ceil(300/4096) = 3 + 2 + 1.
-  EXPECT_EQ(wstats.segments, 6u);
-  EXPECT_GE(wstats.peak_inflight, 1u);
-  EXPECT_LE(wstats.peak_inflight, config.max_inflight);
-
-  // The synchronous path writes the same bytes through one WriteV.
-  std::vector<LocalStore::WritePiece> pieces;
-  for (const ScheduledRun& run : runs) {
-    pieces.push_back({run.offset,
-                      std::span<const std::byte>(scratch).subspan(
-                          run.buf_offset, run.length)});
-  }
-  sync_store.WriteV(kHandle, pieces);
-
-  FlowStats rstats;
-  ByteBuffer flow_back(scratch.size());
-  ASSERT_TRUE(
-      FlowRead(async, kHandle, runs, flow_back, config, rstats).ok());
-  EXPECT_EQ(rstats.segments, 6u);
-  EXPECT_EQ(flow_back, scratch);
-
-  for (const ScheduledRun& run : runs) {
-    ByteBuffer a(run.length), b(run.length);
-    ASSERT_TRUE(flow_store.Read(kHandle, run.offset, a).ok());
-    ASSERT_TRUE(sync_store.Read(kHandle, run.offset, b).ok());
-    EXPECT_EQ(a, b);
-  }
-}
-
-TEST(Flow, FullWindowStallsAreAccounted) {
-  // One slow worker, window of 2, 8 segments: the pipeline must block on
-  // a full window and record the wait.
-  LocalStore store;
-  AsyncStore async(store, {.workers = 1, .seek_us = 2'000});
-  const FlowConfig config{.segment_bytes = 1024, .max_inflight = 2};
-  const std::vector<ScheduledRun> runs = {{0, 8 * 1024, 0}};
-  ByteBuffer scratch = Pattern(8 * 1024, 66);
-
-  FlowStats stats;
-  ASSERT_TRUE(FlowWrite(async, kHandle, runs, scratch, config, stats).ok());
-  EXPECT_EQ(stats.segments, 8u);
-  EXPECT_EQ(stats.peak_inflight, 2u);
-  EXPECT_GT(stats.stall_us, 0u);
-}
-
 // ---- AsyncClient -----------------------------------------------------------
 
 TEST(AsyncClient, OutOfOrderCompletionsAcrossIodsRoundTrip) {
-  InProcCluster cluster(4, FlowsConfig());
+  InProcCluster cluster(4);
   Client::Options options;
   options.async_workers = 4;
   Client client(cluster.transport.get(), options);
@@ -263,18 +88,13 @@ TEST(AsyncClient, OutOfOrderCompletionsAcrossIodsRoundTrip) {
     EXPECT_EQ(back[op], golden[op]) << "read op " << op;
   }
 
-  std::uint64_t segments = 0;
-  for (const auto& iod : cluster.iods) {
-    segments += iod->stats().flow_segments;
-  }
-  EXPECT_GT(segments, 0u) << "flows-enabled daemons must run the pipeline";
   const ClientStats stats = client.stats();
   EXPECT_EQ(stats.operations, kOps * 2);
   EXPECT_EQ(stats.bytes_written, static_cast<std::uint64_t>(op_bytes) * kOps);
 }
 
 TEST(AsyncClient, WaitAfterErrorReturnsTypedStatus) {
-  InProcCluster cluster(4, FlowsConfig());
+  InProcCluster cluster(4);
 
   // Submission-time failure (bad descriptor): MPI-style, the handle still
   // comes back and Wait reports the typed error.
@@ -310,16 +130,42 @@ TEST(AsyncClient, WaitAfterErrorReturnsTypedStatus) {
   }
 }
 
+/// Forwards every call to `inner`, except that the first iod call parks
+/// until Release(): an operation that reaches an iod stays in flight for
+/// as long as the test needs, with no timing involved.
+class GatedTransport final : public Transport {
+ public:
+  explicit GatedTransport(Transport* inner)
+      : inner_(inner), gate_(opened_.get_future().share()) {}
+
+  Result<std::vector<std::byte>> Call(
+      const Endpoint& dest, std::span<const std::byte> request) override {
+    if (!dest.is_manager && !gated_.exchange(true)) gate_.wait();
+    return inner_->Call(dest, request);
+  }
+
+  std::uint32_t server_count() const override {
+    return inner_->server_count();
+  }
+
+  void Release() { opened_.set_value(); }
+
+ private:
+  Transport* inner_;
+  std::promise<void> opened_;
+  std::shared_future<void> gate_;
+  std::atomic<bool> gated_{false};
+};
+
 TEST(AsyncClient, CancelBeforeDispatchWins) {
-  // One async worker, a long-running first operation (16 strided runs,
-  // each paying a 2 ms modeled seek): the second operation is still
-  // queued when Cancel lands, so it must never execute.
-  ServerConfig config = FlowsConfig();
-  config.store_seek_us = 2'000;
-  InProcCluster cluster(4, config);
+  // One async worker whose first operation parks on its first iod call:
+  // the second operation is still queued when Cancel lands, so it must
+  // never execute.
+  InProcCluster cluster(4);
+  GatedTransport gated(cluster.transport.get());
   Client::Options options;
   options.async_workers = 1;
-  Client client(cluster.transport.get(), options);
+  Client client(&gated, options);
   auto fd = client.Create("/async/cancel", kStriping);
   ASSERT_TRUE(fd.ok());
 
@@ -340,6 +186,7 @@ TEST(AsyncClient, CancelBeforeDispatchWins) {
   EXPECT_TRUE(canceled.Test());
   EXPECT_EQ(canceled.Wait().code(), ErrorCode::kFailedPrecondition);
   EXPECT_FALSE(canceled.Cancel()) << "already resolved";
+  gated.Release();
   EXPECT_TRUE(slow.Wait().ok());
 
   // The canceled write never reached the cluster: its range reads zero.
@@ -354,7 +201,7 @@ TEST(AsyncClient, AsyncWritesSurviveFrameDropsAndCrashRestart) {
   // scheduled iod crash (down for 40 calls, then "restarted" when the
   // down ticks run out). Retries are idempotent; every Wait must succeed
   // and the readback must be bit-exact.
-  InProcCluster cluster(4, FlowsConfig());
+  InProcCluster cluster(4);
   fault::FaultConfig faults;
   faults.seed = 4242;
   faults.drop_rate = 0.05;
@@ -396,12 +243,12 @@ TEST(AsyncClient, AsyncWritesSurviveFrameDropsAndCrashRestart) {
       << "the schedule injects drops and a crash; recovery must be visible";
 }
 
-TEST(AsyncClient, ConcurrentClientsOnFlowsDaemonsStayCoherent) {
-  // Four clients hammer the same flows-enabled daemons through the
-  // shared in-process transport: Serve runs concurrently (the epoll
-  // server stops serializing service when flows are on), so this is the
-  // TSan proof obligation for daemon-side pipeline state.
-  InProcCluster cluster(4, FlowsConfig());
+TEST(AsyncClient, ConcurrentClientsStayCoherent) {
+  // Four clients hammer the same daemons through one shared in-process
+  // transport, which serializes each daemon's service: every client must
+  // read back exactly what it wrote, and under TSan the shared transport,
+  // manager and iod stats must show no race.
+  InProcCluster cluster(4);
   std::atomic<int> failures{0};
   {
     std::vector<std::jthread> threads;
@@ -428,11 +275,6 @@ TEST(AsyncClient, ConcurrentClientsOnFlowsDaemonsStayCoherent) {
     }
   }
   EXPECT_EQ(failures.load(), 0);
-  std::uint64_t segments = 0;
-  for (const auto& iod : cluster.iods) {
-    segments += iod->stats().flow_segments;
-  }
-  EXPECT_GT(segments, 0u);
 }
 
 // ---- RetryDeadline ---------------------------------------------------------
